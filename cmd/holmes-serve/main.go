@@ -13,9 +13,9 @@
 // answers the same corpus hot. The same file is loaded at startup and
 // rewritten every -snapshot-interval.
 //
-// With -operator, /v1/jobs becomes an always-on durable fleet layer:
+// With -journal-dir, /v1/jobs becomes an always-on durable fleet layer:
 // each fleet is a wall-clock-driven operator behind an fsync'd journal
-// in -journal-dir (submits stamped with real time, finished work
+// in that directory (submits stamped with real time, finished work
 // retired automatically, -fleet-policy / per-request "policy" selecting
 // the scheduling policy), and a restarted daemon recovers every fleet
 // from its journal and resumes scheduling bit-identically to a process
@@ -33,7 +33,7 @@
 //	holmes-serve -addr :8080
 //	holmes-serve -addr :8080 -shards 4 -workers 4 -cache 1024 -max-inflight 64 -max-queue 512
 //	holmes-serve -addr :8080 -cache-snapshot /var/lib/holmes/cache.json -snapshot-interval 5m
-//	holmes-serve -addr :8080 -operator -journal-dir /var/lib/holmes/fleet -fleet-policy priority
+//	holmes-serve -addr :8080 -journal-dir /var/lib/holmes/fleet -fleet-policy priority
 //	holmes-serve -addr :8080 -pprof   # mounts /debug/pprof/
 //
 //	curl -s localhost:8080/healthz
@@ -66,6 +66,7 @@ import (
 	"time"
 
 	"holmes/internal/api"
+	"holmes/internal/durable"
 	"holmes/internal/fleet"
 	"holmes/internal/serve"
 )
@@ -90,19 +91,16 @@ func loadSnapshot(srv *api.Server, path string) {
 		path, counts.Responses, counts.Plans)
 }
 
-// writeSnapshot persists the caches atomically (write temp, rename).
+// writeSnapshot persists the caches durably. The periodic and the
+// shutdown writer may overlap; each publish is whole, and the last
+// rename wins.
 func writeSnapshot(srv *api.Server, path string) {
 	doc, err := srv.SaveSnapshot()
 	if err != nil {
 		log.Printf("holmes-serve: cache snapshot: %v", err)
 		return
 	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, doc, 0o644); err != nil {
-		log.Printf("holmes-serve: cache snapshot %s: %v", tmp, err)
-		return
-	}
-	if err := os.Rename(tmp, path); err != nil {
+	if err := durable.WriteFile(path, doc); err != nil {
 		log.Printf("holmes-serve: cache snapshot %s: %v", path, err)
 		return
 	}
@@ -124,8 +122,7 @@ func main() {
 		interval = flag.Duration("snapshot-interval", 0, "also rewrite -cache-snapshot periodically (0 = only on shutdown)")
 		drain    = flag.Duration("drain-timeout", 10*time.Second, "graceful-shutdown deadline for in-flight requests")
 		pprofOn  = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (admission-exempt)")
-		operator = flag.Bool("operator", false, "run /v1/jobs as an always-on durable fleet operator: wall-clock submits, auto-retirement, journaled crash recovery (requires -journal-dir)")
-		jdir     = flag.String("journal-dir", "", "directory for per-fleet journals and snapshots (operator mode); existing journals are recovered at boot")
+		jdir     = flag.String("journal-dir", "", "run /v1/jobs as an always-on durable fleet operator journaling to this directory: wall-clock submits, auto-retirement, crash recovery of existing journals at boot")
 		policy   = flag.String("fleet-policy", "", "default scheduling policy for freshly created fleets: "+strings.Join(fleet.PolicyNames(), ", ")+" (default "+fleet.DefaultPolicy+")")
 		dash     = flag.Bool("dashboard", true, "serve the embedded live dashboard at / (admission-exempt, no build step)")
 	)
@@ -134,9 +131,6 @@ func main() {
 		if _, err := fleet.PolicyByName(*policy); err != nil {
 			log.Fatalf("holmes-serve: %v", err)
 		}
-	}
-	if *operator && *jdir == "" {
-		log.Fatal("holmes-serve: -operator requires -journal-dir")
 	}
 
 	pool := serve.New(serve.Config{
@@ -152,7 +146,7 @@ func main() {
 	apiSrv := api.NewServerPool(pool)
 	apiSrv.EnablePprof(*pprofOn)
 	apiSrv.EnableDashboard(*dash)
-	if *operator {
+	if *jdir != "" {
 		recovered, err := apiSrv.EnableOperator(api.OperatorMode{JournalDir: *jdir, Policy: *policy})
 		if err != nil {
 			log.Fatalf("holmes-serve: operator mode: %v", err)
@@ -214,7 +208,7 @@ func main() {
 	if *snapshot != "" {
 		writeSnapshot(apiSrv, *snapshot)
 	}
-	if *operator {
+	if *jdir != "" {
 		// Retire what is retirable, cut final snapshots, close the
 		// journals. A crash skips this — that is what recovery replays.
 		if err := apiSrv.CloseOperators(); err != nil {

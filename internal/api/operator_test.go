@@ -6,6 +6,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -209,5 +211,46 @@ func TestOperatorModeRecovery(t *testing.T) {
 	b2, _ := json.Marshal(after.Placement)
 	if string(b1) != string(b2) {
 		t.Fatalf("placement diverged across recovery:\nbefore: %s\nafter:  %s", b1, b2)
+	}
+}
+
+// TestCloseOperatorsCutsRecoverableSnapshot is the graceful-shutdown
+// leg: CloseOperators cuts a final snapshot and empties the journal,
+// and a fresh server on the same directory recovers the same fleet from
+// that snapshot alone.
+func TestCloseOperatorsCutsRecoverableSnapshot(t *testing.T) {
+	pool := serve.New(serve.Config{})
+	dir := t.TempDir()
+	s1, srv1 := newOperatorServer(t, pool, dir, fleet.NewFakeClock())
+	for _, body := range []string{opJobBody("alpha", 16, "fair"), opJobBody("beta", 8, "")} {
+		if code, resp := post(t, srv1, "/v1/jobs", body); code != http.StatusOK {
+			t.Fatalf("submit: %d %s", code, resp)
+		}
+	}
+	_, before := do(t, http.MethodGet, srv1.URL+"/v1/jobs", "")
+	srv1.Close()
+	if err := s1.CloseOperators(); err != nil {
+		t.Fatal(err)
+	}
+
+	journals, err := filepath.Glob(filepath.Join(dir, "fleet-*.journal"))
+	if err != nil || len(journals) != 1 {
+		t.Fatalf("journals %v (%v), want one", journals, err)
+	}
+	if st, err := os.Stat(journals[0]); err != nil || st.Size() != 0 {
+		t.Fatalf("journal not emptied by the final snapshot (%v)", err)
+	}
+	data, err := os.ReadFile(journals[0] + ".snap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap, err := fleet.DecodeFleetSnapshot(data); err != nil || len(snap.Jobs) != 2 {
+		t.Fatalf("final snapshot holds %d live jobs (%v), want 2", len(snap.Jobs), err)
+	}
+
+	s2, srv2 := newOperatorServer(t, pool, dir, fleet.NewFakeClock())
+	defer s2.AbortOperators()
+	if _, after := do(t, http.MethodGet, srv2.URL+"/v1/jobs", ""); string(after) != string(before) {
+		t.Fatalf("fleet diverged across a graceful restart:\nbefore: %s\nafter:  %s", before, after)
 	}
 }

@@ -4,11 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"strings"
 
 	"holmes/internal/config"
 	"holmes/internal/core"
+	"holmes/internal/durable"
 	"holmes/internal/engine"
 )
 
@@ -30,15 +30,8 @@ const (
 	SnapshotVersion = 1
 )
 
-// snapshotEnvelope is the file's outer structure. Payload stays raw so
-// the checksum covers its exact bytes.
-type snapshotEnvelope struct {
-	Format     string          `json:"format"`
-	Version    int             `json:"version"`
-	APIVersion string          `json:"api_version"`
-	Checksum   string          `json:"checksum_fnv64a"`
-	Payload    json.RawMessage `json:"payload"`
-}
+// snapshotFormat seals and opens the cache snapshot envelope.
+var snapshotFormat = durable.Format{Name: SnapshotFormat, Version: SnapshotVersion, APIVersion: Version}
 
 // snapshotPayload is the checksummed content.
 type snapshotPayload struct {
@@ -63,21 +56,6 @@ type SnapshotCounts struct {
 	Plans     int `json:"plans"`
 }
 
-// payloadChecksum is FNV-64a over the payload's compact JSON bytes,
-// hex-encoded. Compacting first makes the checksum insensitive to the
-// re-indentation the envelope encoder applies to the embedded payload
-// (it guards content, not formatting); non-JSON payload bytes are hashed
-// as-is and fail the decode step instead.
-func payloadChecksum(payload []byte) string {
-	var buf bytes.Buffer
-	if err := json.Compact(&buf, payload); err == nil {
-		payload = buf.Bytes()
-	}
-	h := fnv.New64a()
-	_, _ = h.Write(payload)
-	return fmt.Sprintf("%016x", h.Sum64())
-}
-
 // SaveSnapshot serializes the pool's response cache and search-winner
 // memo into one snapshot document.
 func (s *Server) SaveSnapshot() ([]byte, error) {
@@ -96,21 +74,11 @@ func (s *Server) SaveSnapshot() ([]byte, error) {
 		})
 	}
 	payload.Plans = s.pool.SnapshotPlans(core.SearchMemoCodec())
-	raw, err := json.Marshal(payload)
+	doc, err := snapshotFormat.Seal(payload)
 	if err != nil {
-		return nil, fmt.Errorf("api: snapshot payload: %w", err)
+		return nil, fmt.Errorf("api: %w", err)
 	}
-	doc, err := json.MarshalIndent(snapshotEnvelope{
-		Format:     SnapshotFormat,
-		Version:    SnapshotVersion,
-		APIVersion: Version,
-		Checksum:   payloadChecksum(raw),
-		Payload:    raw,
-	}, "", " ")
-	if err != nil {
-		return nil, fmt.Errorf("api: snapshot envelope: %w", err)
-	}
-	return append(doc, '\n'), nil
+	return doc, nil
 }
 
 // LoadSnapshot validates and loads a snapshot document into the pool's
@@ -118,26 +86,12 @@ func (s *Server) SaveSnapshot() ([]byte, error) {
 // stored: a snapshot that fails any check — format, version, checksum,
 // or any single entry — loads nothing.
 func (s *Server) LoadSnapshot(data []byte) (SnapshotCounts, error) {
-	var env snapshotEnvelope
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&env); err != nil {
-		return SnapshotCounts{}, fmt.Errorf("api: snapshot: %w", err)
-	}
-	if env.Format != SnapshotFormat {
-		return SnapshotCounts{}, fmt.Errorf("api: snapshot format %q (want %q)", env.Format, SnapshotFormat)
-	}
-	if env.Version != SnapshotVersion {
-		return SnapshotCounts{}, fmt.Errorf("api: snapshot version %d (want %d)", env.Version, SnapshotVersion)
-	}
-	if env.APIVersion != Version {
-		return SnapshotCounts{}, fmt.Errorf("api: snapshot from API %s (this server is %s)", env.APIVersion, Version)
-	}
-	if got := payloadChecksum(env.Payload); got != env.Checksum {
-		return SnapshotCounts{}, fmt.Errorf("api: snapshot checksum %s does not match payload (%s)", env.Checksum, got)
+	raw, err := snapshotFormat.Open(data)
+	if err != nil {
+		return SnapshotCounts{}, fmt.Errorf("api: %w", err)
 	}
 	var payload snapshotPayload
-	if err := json.Unmarshal(env.Payload, &payload); err != nil {
+	if err := json.Unmarshal(raw, &payload); err != nil {
 		return SnapshotCounts{}, fmt.Errorf("api: snapshot payload: %w", err)
 	}
 

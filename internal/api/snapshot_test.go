@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"holmes/internal/core"
+	"holmes/internal/durable"
 	"holmes/internal/serve"
 )
 
@@ -66,7 +67,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 
 	// The envelope is well-formed and self-describing.
-	var env snapshotEnvelope
+	var env durable.Envelope
 	if err := json.Unmarshal(snap, &env); err != nil {
 		t.Fatal(err)
 	}
@@ -121,9 +122,9 @@ func TestSnapshotLoadIdempotent(t *testing.T) {
 }
 
 // corruptSnapshot applies one named mutation to a valid snapshot.
-func corruptSnapshot(t *testing.T, snap []byte, mutate func(env *snapshotEnvelope)) []byte {
+func corruptSnapshot(t *testing.T, snap []byte, mutate func(env *durable.Envelope)) []byte {
 	t.Helper()
-	var env snapshotEnvelope
+	var env durable.Envelope
 	if err := json.Unmarshal(snap, &env); err != nil {
 		t.Fatal(err)
 	}
@@ -142,10 +143,10 @@ func TestSnapshotRejectsBadFiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reseal := func(payload string) func(*snapshotEnvelope) {
-		return func(env *snapshotEnvelope) {
+	reseal := func(payload string) func(*durable.Envelope) {
+		return func(env *durable.Envelope) {
 			env.Payload = json.RawMessage(payload)
-			env.Checksum = payloadChecksum(env.Payload)
+			env.Checksum = durable.Checksum(env.Payload)
 		}
 	}
 	cases := []struct {
@@ -157,10 +158,10 @@ func TestSnapshotRejectsBadFiles(t *testing.T) {
 		{"junk", []byte("not json"), "snapshot"},
 		{"truncated", snap[:len(snap)/2], "snapshot"},
 		{"unknown envelope field", []byte(`{"format":"holmes-cache-snapshot","version":1,"api_version":"` + Version + `","checksum_fnv64a":"0","payload":{},"extra":1}`), "unknown field"},
-		{"wrong format", corruptSnapshot(t, snap, func(e *snapshotEnvelope) { e.Format = "holmes-other" }), "format"},
-		{"wrong version", corruptSnapshot(t, snap, func(e *snapshotEnvelope) { e.Version = 99 }), "version 99"},
-		{"api version skew", corruptSnapshot(t, snap, func(e *snapshotEnvelope) { e.APIVersion = "0.0.1" }), "API 0.0.1"},
-		{"bad checksum", corruptSnapshot(t, snap, func(e *snapshotEnvelope) { e.Checksum = "deadbeefdeadbeef" }), "checksum"},
+		{"wrong format", corruptSnapshot(t, snap, func(e *durable.Envelope) { e.Format = "holmes-other" }), "format"},
+		{"wrong version", corruptSnapshot(t, snap, func(e *durable.Envelope) { e.Version = 99 }), "version 99"},
+		{"api version skew", corruptSnapshot(t, snap, func(e *durable.Envelope) { e.APIVersion = "0.0.1" }), "API 0.0.1"},
+		{"bad checksum", corruptSnapshot(t, snap, func(e *durable.Envelope) { e.Checksum = "deadbeefdeadbeef" }), "checksum"},
 		{"payload not an object", corruptSnapshot(t, snap, reseal(`[1,2]`)), "payload"},
 		{"unknown op", corruptSnapshot(t, snap, reseal(`{"responses":[{"op":"dance","config":{"env":"InfiniBand","nodes":4,"model":{"group":1},"tensor_size":1,"pipeline_size":2},"response":{}}]}`)), "unknown op"},
 		{"bad config", corruptSnapshot(t, snap, reseal(`{"responses":[{"op":"plan","config":{"env":"Mars","nodes":4,"model":{"group":1},"tensor_size":1,"pipeline_size":2},"response":{}}]}`)), "config"},

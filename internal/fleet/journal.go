@@ -4,10 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"os"
 	"sync"
 
+	"holmes/internal/durable"
 	"holmes/internal/scenario"
 )
 
@@ -19,11 +19,10 @@ import (
 // construction (DESIGN.md decision 13). The journal is an fsync'd
 // NDJSON log: one compact JSON record per line, synced before the
 // mutation is acknowledged to the caller.
-// Periodic snapshots (same versioned-envelope/checksum codec as the
-// api cache snapshot — re-implemented here because api imports fleet)
-// bound recovery time: a snapshot embeds the journal sequence it
-// covers, the journal restarts empty, and recovery is snapshot +
-// replay of the journal suffix.
+// Periodic snapshots (the internal/durable envelope and publish path,
+// shared with the api cache snapshot) bound recovery time: a snapshot
+// embeds the journal sequence it covers, the journal restarts empty,
+// and recovery is snapshot + replay of the journal suffix.
 
 // Journal record kinds. Unknown kinds are rejected on recovery: a
 // journal written by a newer build is not safe to half-understand.
@@ -293,14 +292,15 @@ func (j *Journal) Close() error {
 	return err
 }
 
-// Fleet snapshot codec: the same versioned-envelope/checksum shape as
-// the api cache snapshot (PR 7), carrying the operator's durable state
-// instead of caches. api imports fleet, so the small codec is
-// re-implemented here rather than creating an import cycle.
+// Fleet snapshot codec: the shared durable envelope (the same one the
+// api cache snapshot uses), carrying the operator's durable state
+// instead of caches. The fleet format pins no API version.
 const (
 	FleetSnapshotFormat  = "holmes-fleet-snapshot"
 	FleetSnapshotVersion = 1
 )
+
+var fleetSnapshotFormat = durable.Format{Name: FleetSnapshotFormat, Version: FleetSnapshotVersion}
 
 // FleetSnapshot is the operator's durable state at one instant: the
 // journal sequence it covers, the operator wall clock, and everything
@@ -323,66 +323,26 @@ type FleetSnapshot struct {
 	Done []Placement `json:"done,omitempty"`
 }
 
-type fleetSnapshotEnvelope struct {
-	Format   string          `json:"format"`
-	Version  int             `json:"version"`
-	Checksum string          `json:"checksum_fnv64a"`
-	Payload  json.RawMessage `json:"payload"`
-}
-
-// journalChecksum is FNV-64a over the payload's compact JSON bytes,
-// hex-encoded (identical to the api snapshot's payloadChecksum: the
-// checksum guards content, not formatting).
-func journalChecksum(payload []byte) string {
-	var buf bytes.Buffer
-	if err := json.Compact(&buf, payload); err == nil {
-		payload = buf.Bytes()
-	}
-	h := fnv.New64a()
-	_, _ = h.Write(payload)
-	return fmt.Sprintf("%016x", h.Sum64())
-}
-
 // EncodeFleetSnapshot serializes a snapshot into the enveloped
 // document.
 func EncodeFleetSnapshot(s FleetSnapshot) ([]byte, error) {
-	raw, err := json.Marshal(s)
+	doc, err := fleetSnapshotFormat.Seal(s)
 	if err != nil {
-		return nil, fmt.Errorf("fleet: snapshot payload: %w", err)
+		return nil, fmt.Errorf("fleet: %w", err)
 	}
-	doc, err := json.MarshalIndent(fleetSnapshotEnvelope{
-		Format:   FleetSnapshotFormat,
-		Version:  FleetSnapshotVersion,
-		Checksum: journalChecksum(raw),
-		Payload:  raw,
-	}, "", " ")
-	if err != nil {
-		return nil, fmt.Errorf("fleet: snapshot envelope: %w", err)
-	}
-	return append(doc, '\n'), nil
+	return doc, nil
 }
 
 // DecodeFleetSnapshot validates and decodes a snapshot document:
 // format, version, and checksum are all checked before the payload is
 // trusted, and any failure rejects the whole file.
 func DecodeFleetSnapshot(data []byte) (FleetSnapshot, error) {
-	var env fleetSnapshotEnvelope
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&env); err != nil {
-		return FleetSnapshot{}, fmt.Errorf("fleet: snapshot: %w", err)
-	}
-	if env.Format != FleetSnapshotFormat {
-		return FleetSnapshot{}, fmt.Errorf("fleet: snapshot format %q (want %q)", env.Format, FleetSnapshotFormat)
-	}
-	if env.Version != FleetSnapshotVersion {
-		return FleetSnapshot{}, fmt.Errorf("fleet: snapshot version %d (want %d)", env.Version, FleetSnapshotVersion)
-	}
-	if got := journalChecksum(env.Payload); got != env.Checksum {
-		return FleetSnapshot{}, fmt.Errorf("fleet: snapshot checksum %s does not match payload (%s)", env.Checksum, got)
+	raw, err := fleetSnapshotFormat.Open(data)
+	if err != nil {
+		return FleetSnapshot{}, fmt.Errorf("fleet: %w", err)
 	}
 	var s FleetSnapshot
-	pdec := json.NewDecoder(bytes.NewReader(env.Payload))
+	pdec := json.NewDecoder(bytes.NewReader(raw))
 	pdec.DisallowUnknownFields()
 	if err := pdec.Decode(&s); err != nil {
 		return FleetSnapshot{}, fmt.Errorf("fleet: snapshot payload: %w", err)

@@ -4,10 +4,10 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"path/filepath"
 	"sort"
 	"sync"
 
+	"holmes/internal/durable"
 	"holmes/internal/engine"
 	"holmes/internal/events"
 	"holmes/internal/scenario"
@@ -795,15 +795,7 @@ func (o *Operator) snapshotLocked() error {
 	if err != nil {
 		return err
 	}
-	tmp := o.snapPath + ".tmp"
-	if err := writeFileSync(tmp, doc); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, o.snapPath); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := syncDir(filepath.Dir(o.snapPath)); err != nil {
+	if err := durable.WriteFile(o.snapPath, doc); err != nil {
 		return err
 	}
 	if err := o.j.Reset(snap.Seq); err != nil {
@@ -811,39 +803,6 @@ func (o *Operator) snapshotLocked() error {
 	}
 	o.sinceSnp = 0
 	return nil
-}
-
-// writeFileSync writes data to path and fsyncs it before closing: a
-// rename may only publish bytes that are already on disk.
-func writeFileSync(path string, data []byte) error {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	_, err = f.Write(data)
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(path)
-	}
-	return err
-}
-
-// syncDir fsyncs a directory, making a rename within it durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }
 
 // Snapshot forces a snapshot now (the loop also cuts them on its own).

@@ -38,20 +38,6 @@ func (p *Pool) SnapshotPlans(codecs ...engine.PlanCodec) []engine.PlanSnapshotEn
 	return out
 }
 
-// LoadPlans decodes plan-cache snapshot entries and stores each on the
-// shard its routing key hashes to — the shard that will serve its future
-// lookups. Nothing is stored when any entry fails to decode.
-func (p *Pool) LoadPlans(entries []engine.PlanSnapshotEntry, codecs ...engine.PlanCodec) (int, error) {
-	decoded, err := engine.DecodePlans(entries, codecs...)
-	if err != nil {
-		return 0, err
-	}
-	for _, d := range decoded {
-		p.ShardFor(d.Route).StorePlan(d.Key, d.Val)
-	}
-	return len(decoded), nil
-}
-
 // SearchStats aggregates the joint-search counters across shards.
 func (p *Pool) SearchStats() engine.SearchStats {
 	var agg engine.SearchStats
