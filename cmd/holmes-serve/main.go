@@ -13,19 +13,22 @@
 // answers the same corpus hot. The same file is loaded at startup and
 // rewritten every -snapshot-interval.
 //
-// With -journal-dir, /v1/jobs becomes an always-on durable fleet layer:
-// each fleet is a wall-clock-driven operator behind an fsync'd journal
-// in that directory (submits stamped with real time, finished work
-// retired automatically, -fleet-policy / per-request "policy" selecting
-// the scheduling policy), and a restarted daemon recovers every fleet
-// from its journal and resumes scheduling bit-identically to a process
-// that never died.
+// /v1/jobs serves fleets of jobs, each fleet a fleet operator scheduling
+// under -fleet-policy (or a per-request "policy"). Without -journal-dir
+// the fleets live in memory on the virtual clock: a job submitted with no
+// stamp is placed at instant 0, nothing retires on its own, and a fleet
+// whose last job is cancelled is forgotten. With -journal-dir they become
+// an always-on durable fleet layer: each operator is wall-clock-driven
+// behind an fsync'd journal in that directory (submits stamped with real
+// time, finished work retired automatically), and a restarted daemon
+// recovers every fleet from its journal and resumes scheduling
+// bit-identically to a process that never died.
 //
 // The daemon is observable live: GET / serves an embedded dashboard
 // (go:embed, zero build step — fleet timeline, topology health,
-// endpoint latency) and GET /v1/events streams operator transitions as
-// Server-Sent Events. Both ride outside admission, so they keep
-// answering while the server is saturated. -dashboard=false unmounts
+// endpoint latency) and GET /v1/events streams journaled fleets'
+// transitions as Server-Sent Events. Both ride outside admission, so
+// they keep answering while the server is saturated. -dashboard=false unmounts
 // the page (the stream stays).
 //
 // Usage:
@@ -122,17 +125,11 @@ func main() {
 		interval = flag.Duration("snapshot-interval", 0, "also rewrite -cache-snapshot periodically (0 = only on shutdown)")
 		drain    = flag.Duration("drain-timeout", 10*time.Second, "graceful-shutdown deadline for in-flight requests")
 		pprofOn  = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (admission-exempt)")
-		jdir     = flag.String("journal-dir", "", "run /v1/jobs as an always-on durable fleet operator journaling to this directory: wall-clock submits, auto-retirement, crash recovery of existing journals at boot")
-		policy   = flag.String("fleet-policy", "", "default scheduling policy for freshly created fleets: "+strings.Join(fleet.PolicyNames(), ", ")+" (default "+fleet.DefaultPolicy+")")
+		jdir     = flag.String("journal-dir", "", "journal /v1/jobs fleets to this directory: wall-clock submits, auto-retirement, crash recovery of existing journals at boot (\"\" = in-memory fleets on the virtual clock)")
+		policy   = flag.String("fleet-policy", "", "default scheduling policy for freshly created /v1/jobs fleets, journaled or in memory: "+strings.Join(fleet.PolicyNames(), ", ")+" (default "+fleet.DefaultPolicy+")")
 		dash     = flag.Bool("dashboard", true, "serve the embedded live dashboard at / (admission-exempt, no build step)")
 	)
 	flag.Parse()
-	if *policy != "" {
-		if _, err := fleet.PolicyByName(*policy); err != nil {
-			log.Fatalf("holmes-serve: %v", err)
-		}
-	}
-
 	pool := serve.New(serve.Config{
 		Shards:           *shards,
 		ShardConcurrency: *workers,
@@ -146,13 +143,12 @@ func main() {
 	apiSrv := api.NewServerPool(pool)
 	apiSrv.EnablePprof(*pprofOn)
 	apiSrv.EnableDashboard(*dash)
+	recovered, err := apiSrv.EnableOperator(api.OperatorMode{JournalDir: *jdir, Policy: *policy})
+	if err != nil {
+		log.Fatalf("holmes-serve: fleets: %v", err)
+	}
 	if *jdir != "" {
-		recovered, err := apiSrv.EnableOperator(api.OperatorMode{JournalDir: *jdir, Policy: *policy})
-		if err != nil {
-			log.Fatalf("holmes-serve: operator mode: %v", err)
-		}
-		log.Printf("holmes-serve: operator mode on %s (%d fleet(s) recovered, default policy %s)",
-			*jdir, recovered, firstNonEmpty(*policy, fleet.DefaultPolicy))
+		log.Printf("holmes-serve: journaling fleets to %s (%d recovered)", *jdir, recovered)
 	}
 	if *snapshot != "" {
 		loadSnapshot(apiSrv, *snapshot)
@@ -208,19 +204,11 @@ func main() {
 	if *snapshot != "" {
 		writeSnapshot(apiSrv, *snapshot)
 	}
-	if *jdir != "" {
-		// Retire what is retirable, cut final snapshots, close the
-		// journals. A crash skips this — that is what recovery replays.
-		if err := apiSrv.CloseOperators(); err != nil {
-			log.Printf("holmes-serve: operator shutdown: %v", err)
-		}
+	// Retire what is retirable, cut final snapshots, close the journals
+	// (in-memory fleets have none). A crash skips this — that is what
+	// recovery replays.
+	if err := apiSrv.CloseOperators(); err != nil {
+		log.Printf("holmes-serve: operator shutdown: %v", err)
 	}
 	log.Printf("holmes-serve: shutdown complete")
-}
-
-func firstNonEmpty(a, b string) string {
-	if a != "" {
-		return a
-	}
-	return b
 }

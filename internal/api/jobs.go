@@ -3,56 +3,26 @@ package api
 import (
 	"encoding/json"
 	"net/http"
-	"sort"
-	"sync"
+	"strings"
 
 	"holmes/internal/fleet"
 )
 
 // The /v1/jobs surface is the fleet scheduler behind HTTP: clients
 // submit jobs against a shared fleet topology, poll their placement, and
-// cancel. The schedule a poll observes is the deterministic replay of
-// the fleet's live job set ordered by (submit, id) — so any interleaving
-// of concurrent submissions converges to the same schedule as a
-// sequential replay of the same trace, and a storm of pollers on a
-// 4-shard pool reads bit-identical placements.
+// cancel. Every fleet is a fleet.Operator (operator.go): in memory on
+// the frozen virtual clock by default, journaled and wall-clock-driven
+// once OperatorMode.JournalDir is set. The schedule a poll observes is
+// the deterministic replay of the fleet's live job set ordered by
+// (submit, id) — so any interleaving of concurrent submissions
+// converges to the same schedule as a sequential replay of the same
+// trace, and a storm of pollers on a 4-shard pool reads bit-identical
+// placements.
 //
 //	POST   /v1/jobs       {"fleet": {...}, "job": {...}}  submit one job
 //	GET    /v1/jobs       every fleet's current schedule
 //	GET    /v1/jobs/{id}  one job's placement
 //	DELETE /v1/jobs/{id}  cancel one job
-
-// maxFleets bounds the distinct fleet topologies one daemon manages;
-// each holds up to fleet.MaxJobs live jobs and a slice-plan memo.
-const maxFleets = 16
-
-// fleetRegistry maps fleet topologies (by fingerprint) to their
-// managers, and live job IDs to their owning fleet. Job IDs are global:
-// the ID is the only handle GET and DELETE take. In operator mode
-// (mode != nil) fleets are durable fleet.Operators instead, and job IDs
-// resolve by scanning the ≤ maxFleets operators — retired jobs stay
-// resolvable that way, which an in-memory owner map could not offer
-// across a restart.
-type fleetRegistry struct {
-	mu     sync.Mutex
-	fleets map[string]*fleet.Manager // fingerprint -> manager
-	owner  map[string]string         // job id -> fingerprint
-	ops    map[string]*fleet.Operator
-	mode   *OperatorMode
-	// submitMu serializes operator-mode submits end to end: the
-	// cross-fleet ID-uniqueness scan and the submit it guards must be
-	// one atomic step, or two concurrent submits of the same ID to
-	// different fleets both pass the scan and mint a duplicate ID. A
-	// dedicated lock rather than mu (which it wraps, never the reverse)
-	// so the fsync inside Submit never blocks registry readers.
-	submitMu sync.Mutex
-}
-
-func (fr *fleetRegistry) init() {
-	fr.fleets = make(map[string]*fleet.Manager)
-	fr.owner = make(map[string]string)
-	fr.ops = make(map[string]*fleet.Operator)
-}
 
 // JobRequest is the envelope of POST /v1/jobs.
 type JobRequest struct {
@@ -73,12 +43,13 @@ type JobResponse struct {
 	// Jobs counts the fleet's live jobs.
 	Jobs      int             `json:"jobs"`
 	Placement fleet.Placement `json:"placement"`
-	// State (operator mode) is the job's wall-clock state: queued,
-	// running, done, or unplaced.
+	// State is the job's state at the fleet's instant: queued, running,
+	// done, or unplaced.
 	State string `json:"state,omitempty"`
-	// Now (operator mode) is the fleet's wall-clock instant.
+	// Now is the fleet's wall-clock instant (always 0, so omitted, for
+	// an in-memory fleet).
 	Now float64 `json:"now,omitempty"`
-	// Policy names the fleet's scheduling policy (operator mode).
+	// Policy names the fleet's scheduling policy.
 	Policy string `json:"policy,omitempty"`
 	// Makespan / Utilization summarize the fleet's whole schedule.
 	Makespan    float64 `json:"makespan"`
@@ -97,8 +68,9 @@ type FleetSchedule struct {
 	Fleet    string          `json:"fleet"`
 	Jobs     int             `json:"jobs"`
 	Schedule *fleet.Schedule `json:"schedule"`
-	// Policy / Now / Done describe the fleet in operator mode: its
-	// scheduling policy, wall-clock instant, and retired-job count.
+	// Policy / Now / Done describe the fleet: its scheduling policy,
+	// wall-clock instant, and retired-job count (Now and Done stay 0,
+	// so omitted, for an in-memory fleet).
 	Policy string  `json:"policy,omitempty"`
 	Now    float64 `json:"now,omitempty"`
 	Done   int     `json:"done,omitempty"`
@@ -138,75 +110,47 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	if s.OperatorEnabled() {
-		s.submitOperator(w, req, fp)
-		return
-	}
 
-	fr := &s.fleets
-	fr.mu.Lock()
-	mgr, ok := fr.fleets[fp]
-	if !ok {
-		if len(fr.fleets) >= maxFleets {
-			fr.mu.Unlock()
-			writeError(w, http.StatusTooManyRequests, "jobs: daemon already manages %d fleets", maxFleets)
-			return
-		}
-		// The fleet lives on the shard that owns its topology fingerprint,
-		// so its slice plans share that shard's communicator cache.
-		mgr, err = fleet.NewManager(s.pool.ShardFor(fp), topo)
-		if err != nil {
-			fr.mu.Unlock()
-			writeError(w, http.StatusBadRequest, "jobs: %v", err)
-			return
-		}
-		if err := mgr.SetPolicy(req.Policy); err != nil {
-			fr.mu.Unlock()
-			writeError(w, http.StatusBadRequest, "jobs: %v", err)
-			return
-		}
-		fr.fleets[fp] = mgr
-	} else if req.Policy != "" && req.Policy != mgr.Policy() {
-		fr.mu.Unlock()
-		writeError(w, http.StatusConflict,
-			"jobs: fleet %s schedules under policy %q; a submit cannot switch it to %q", fp, mgr.Policy(), req.Policy)
+	op, err := s.admit(req, fp)
+	if err != nil {
+		writeError(w, errStatus(err), "%s", err)
 		return
 	}
-	if _, taken := fr.owner[req.Job.ID]; taken {
-		fr.mu.Unlock()
-		writeError(w, http.StatusConflict, "jobs: job %q already exists", req.Job.ID)
-		return
-	}
-	if mgr.Len() >= fleet.MaxJobs {
-		fr.mu.Unlock()
-		writeError(w, http.StatusTooManyRequests, "jobs: fleet already holds %d jobs (the per-fleet limit)", fleet.MaxJobs)
-		return
-	}
-	if err := mgr.Submit(req.Job); err != nil {
-		fr.mu.Unlock()
-		writeError(w, http.StatusBadRequest, "jobs: %v", err)
-		return
-	}
-	fr.owner[req.Job.ID] = fp
-	fr.mu.Unlock()
-
-	s.writeJobPlacement(w, mgr, fp, req.Job.ID)
+	writeJob(w, op, fp, req.Job.ID)
 }
 
-// managerOf resolves a job ID to its fleet.
-func (s *Server) managerOf(id string) (*fleet.Manager, string, bool) {
-	fr := &s.fleets
-	fr.mu.Lock()
-	defer fr.mu.Unlock()
-	fp, ok := fr.owner[id]
-	if !ok {
-		return nil, "", false
+// admit runs the check-then-submit under the registry's submit lock, so
+// the cross-fleet ID-uniqueness scan and the submit it authorizes are
+// one atomic step. The answer is rendered after the lock drops.
+func (s *Server) admit(req JobRequest, fp string) (*fleet.Operator, error) {
+	s.fleets.submitMu.Lock()
+	defer s.fleets.submitMu.Unlock()
+	// Job IDs are global: the ID is the only handle GET and DELETE take.
+	// Same-fleet duplicates fall through to the operator's own check.
+	if _, owner, ok := s.findJob(req.Job.ID); ok && owner != fp {
+		return nil, errf(http.StatusConflict, "jobs: job %q already exists in fleet %s", req.Job.ID, owner)
 	}
-	return fr.fleets[fp], fp, true
+	op, err := s.operatorFor(fp, req.Fleet, req.Policy)
+	if err != nil {
+		return nil, err
+	}
+	if op.Len() >= fleet.MaxJobs {
+		return nil, errf(http.StatusTooManyRequests, "jobs: fleet already holds %d jobs (the per-fleet limit)", fleet.MaxJobs)
+	}
+	if err := op.Submit(req.Job); err != nil {
+		status := http.StatusBadRequest
+		if strings.Contains(err.Error(), "already") {
+			status = http.StatusConflict
+		}
+		return nil, errf(status, "jobs: %v", err)
+	}
+	return op, nil
 }
 
-func (s *Server) writeJobPlacement(w http.ResponseWriter, mgr *fleet.Manager, fp, id string) {
-	p, ok, err := mgr.Job(id)
+// writeJob answers with one job's placement, state, and the owning
+// fleet's schedule summary.
+func writeJob(w http.ResponseWriter, op *fleet.Operator, fp, id string) {
+	st, ok, err := op.Job(id)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "jobs: %v", err)
 		return
@@ -216,99 +160,87 @@ func (s *Server) writeJobPlacement(w http.ResponseWriter, mgr *fleet.Manager, fp
 		writeError(w, http.StatusNotFound, "jobs: no such job %q", id)
 		return
 	}
-	sched, err := mgr.Schedule()
+	sched, err := op.Schedule()
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "jobs: %v", err)
 		return
 	}
 	writeJSON(w, http.StatusOK, JobResponse{
 		Fleet:       fp,
-		Jobs:        mgr.Len(),
-		Placement:   p,
+		Jobs:        op.Len(),
+		Placement:   st.Placement,
+		State:       st.State,
+		Now:         op.Now(),
+		Policy:      op.Policy(),
 		Makespan:    sched.Makespan,
 		Utilization: sched.Utilization,
 	})
 }
 
-// handleJobGet answers one job's current placement.
+// handleJobGet answers one job's current placement. Live and retired
+// jobs both resolve: a client polling a finished job sees state "done"
+// with its final placement, not a 404.
 func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	if s.OperatorEnabled() {
-		s.getOperatorJob(w, id)
-		return
-	}
-	mgr, fp, ok := s.managerOf(id)
+	op, fp, ok := s.findJob(id)
 	if !ok {
 		writeError(w, http.StatusNotFound, "jobs: no such job %q", id)
 		return
 	}
-	s.writeJobPlacement(w, mgr, fp, id)
+	writeJob(w, op, fp, id)
 }
 
-// handleJobCancel removes one job from its fleet.
+// handleJobCancel removes one live job from its fleet. Retired jobs
+// refuse with 409: their outcome is history, not cancellable work.
 func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	if s.OperatorEnabled() {
-		s.cancelOperatorJob(w, id)
-		return
-	}
-	fr := &s.fleets
-	fr.mu.Lock()
-	fp, ok := fr.owner[id]
+	op, fp, ok := s.findJob(id)
 	if !ok {
-		fr.mu.Unlock()
 		writeError(w, http.StatusNotFound, "jobs: no such job %q", id)
 		return
 	}
-	mgr := fr.fleets[fp]
-	delete(fr.owner, id)
-	canceled := mgr.Cancel(id)
-	jobs := mgr.Len()
-	if jobs == 0 {
-		// The last job left: retire the fleet so idle topologies neither
-		// count against maxFleets nor pin their plan memos. Submits and
-		// cancels both hold fr.mu across the manager mutation, so no
-		// concurrent submit can be adding to the manager being dropped.
-		delete(fr.fleets, fp)
-	}
-	fr.mu.Unlock()
-	if !canceled {
-		// The registry and manager disagree: report loudly instead of
-		// pretending the cancel happened.
-		writeError(w, http.StatusInternalServerError, "jobs: registry held %q but the fleet did not", id)
+	canceled, err := op.Cancel(id)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "jobs: %v", err)
 		return
+	}
+	if !canceled {
+		if op.Has(id) {
+			writeError(w, http.StatusConflict, "jobs: job %q already ran to completion", id)
+		} else {
+			// A concurrent cancel of the same ID won.
+			writeError(w, http.StatusNotFound, "jobs: no such job %q", id)
+		}
+		return
+	}
+	jobs := op.Len()
+	if jobs == 0 {
+		s.dropIfEmpty(fp, op)
 	}
 	writeJSON(w, http.StatusOK, CancelResponse{Job: id, Canceled: true, Jobs: jobs})
 }
 
-// handleJobsList answers every fleet's schedule, fleets ordered by
-// fingerprint so concurrent observers read stable output.
+// handleJobsList answers every fleet's schedule plus its policy, wall
+// clock, and retired-job count, fleets ordered by fingerprint so
+// concurrent observers read stable output.
 func (s *Server) handleJobsList(w http.ResponseWriter, r *http.Request) {
-	if s.OperatorEnabled() {
-		s.listOperatorFleets(w)
-		return
-	}
-	fr := &s.fleets
-	fr.mu.Lock()
-	fps := make([]string, 0, len(fr.fleets))
-	for fp := range fr.fleets {
-		fps = append(fps, fp)
-	}
-	mgrs := make(map[string]*fleet.Manager, len(fr.fleets))
-	for fp, mgr := range fr.fleets {
-		mgrs[fp] = mgr
-	}
-	fr.mu.Unlock()
-	sort.Strings(fps)
-
+	fps, ops := s.operators()
 	resp := FleetsResponse{Version: Version, Fleets: []FleetSchedule{}}
 	for _, fp := range fps {
-		sched, err := mgrs[fp].Schedule()
+		op := ops[fp]
+		sched, err := op.Schedule()
 		if err != nil {
 			writeError(w, http.StatusInternalServerError, "jobs: fleet %s: %v", fp, err)
 			return
 		}
-		resp.Fleets = append(resp.Fleets, FleetSchedule{Fleet: fp, Jobs: mgrs[fp].Len(), Schedule: sched})
+		resp.Fleets = append(resp.Fleets, FleetSchedule{
+			Fleet:    fp,
+			Jobs:     op.Len(),
+			Schedule: sched,
+			Policy:   op.Policy(),
+			Now:      op.Now(),
+			Done:     len(op.Done()),
+		})
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

@@ -5,9 +5,12 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -333,4 +336,105 @@ func TestJobsDeterminismSoak(t *testing.T) {
 	}
 	t.Logf("soak: %d clients, schedule of %d jobs bit-identical to sequential replay (makespan %.2fs, utilization %.1f%%)",
 		clients, len(sched.Jobs), sched.Makespan, 100*sched.Utilization)
+}
+
+// TestJobsInMemoryFleetPolicy: the default policy configured without a
+// journal directory applies to in-memory fleets, so a bare submit (no
+// per-request policy) schedules under it.
+func TestJobsInMemoryFleetPolicy(t *testing.T) {
+	s := NewServer(engine.New(engine.Config{}))
+	if _, err := s.EnableOperator(OperatorMode{Policy: "edf"}); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(s.Handler())
+	t.Cleanup(srv.Close)
+	code, body := post(t, srv, "/v1/jobs", jobBody("p", 8, 1))
+	if code != http.StatusOK {
+		t.Fatalf("submit: %d %s", code, body)
+	}
+	if !strings.Contains(string(body), `"policy": "edf"`) {
+		t.Fatalf("bare submit did not schedule under the configured policy: %s", body)
+	}
+	var jr JobResponse
+	if err := json.Unmarshal(body, &jr); err != nil {
+		t.Fatal(err)
+	}
+	if jr.Now != 0 || jr.Placement.Start != 0 {
+		t.Fatalf("in-memory fleet left the virtual clock: %+v", jr)
+	}
+}
+
+// TestJobsInMemoryDropRace races the drop-on-empty rule against
+// submits: a few clients repeatedly submit a job to one in-memory
+// fleet, poll it, and cancel it, so the fleet keeps emptying while
+// others join it. Every acknowledged submit must stay resolvable until
+// its own client cancels it (a submit that joined a fleet as it was
+// dropped would vanish), and the one topology never maps to more than
+// one fleet. Requests go straight to the handler, so the loop runs
+// hot enough to hit the narrow drop window.
+func TestJobsInMemoryDropRace(t *testing.T) {
+	s := NewServer(engine.New(engine.Config{}))
+	h := s.Handler()
+	serveJob := func(method, path, body string) (int, string) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(method, path, strings.NewReader(body)))
+		return rec.Code, rec.Body.String()
+	}
+	const clients, rounds = 4, 150
+
+	fleetCount := func() int {
+		s.fleets.mu.Lock()
+		defer s.fleets.mu.Unlock()
+		return len(s.fleets.ops)
+	}
+	stop := make(chan struct{})
+	var maxSeen atomic.Int64
+	var sampler sync.WaitGroup
+	sampler.Add(1)
+	go func() {
+		defer sampler.Done()
+		for {
+			if n := int64(fleetCount()); n > maxSeen.Load() {
+				maxSeen.Store(n)
+			}
+			select {
+			case <-stop:
+				return
+			default:
+				runtime.Gosched()
+			}
+		}
+	}()
+
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				id := fmt.Sprintf("d%d-%d", c, r)
+				if code, body := serveJob(http.MethodPost, "/v1/jobs", jobBody(id, 8, 1)); code != http.StatusOK {
+					t.Errorf("submit %s: %d %s", id, code, body)
+					return
+				}
+				if code, body := serveJob(http.MethodGet, "/v1/jobs/"+id, ""); code != http.StatusOK {
+					t.Errorf("acknowledged job %s unresolvable before its cancel: %d %s", id, code, body)
+					return
+				}
+				if code, body := serveJob(http.MethodDelete, "/v1/jobs/"+id, ""); code != http.StatusOK {
+					t.Errorf("cancel %s: %d %s", id, code, body)
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	close(stop)
+	sampler.Wait()
+	if n := maxSeen.Load(); n > 1 {
+		t.Fatalf("one topology mapped to %d fleets", n)
+	}
+	if n := fleetCount(); n != 0 {
+		t.Fatalf("%d fleet(s) still registered after every job was cancelled", n)
+	}
 }

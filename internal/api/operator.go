@@ -7,28 +7,61 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
+	"sync"
 
 	"holmes/internal/fleet"
 )
 
-// Operator mode turns /v1/jobs from an in-memory scheduler into the
-// always-on durable fleet layer: each fleet is a fleet.Operator — a
-// wall-clock-driven manager behind an fsync'd journal — so submits are
-// stamped with real time, completed work retires on its own, and a
-// restarted daemon recovers every fleet from -journal-dir and resumes
-// scheduling bit-identically to a process that never died.
+// Every /v1/jobs fleet is a fleet.Operator. By default operators live
+// in memory on a frozen virtual clock: a zero submit stamp stays 0 and
+// nothing retires on its own. With OperatorMode.JournalDir the same
+// operators become the always-on durable fleet layer — wall-clock-driven
+// managers behind fsync'd journals — so submits are stamped with real
+// time, completed work retires on its own, and a restarted daemon
+// recovers every fleet from the directory and resumes scheduling
+// bit-identically to a process that never died.
 
-// OperatorMode configures the durable fleet layer of a Server.
+// maxFleets bounds the distinct fleet topologies one daemon manages;
+// each holds up to fleet.MaxJobs live jobs and a slice-plan memo.
+const maxFleets = 16
+
+// fleetRegistry maps fleet topologies (by fingerprint) to their
+// operators. Job IDs resolve by scanning the ≤ maxFleets operators —
+// retired jobs stay resolvable that way, which an owner map could not
+// offer across a restart.
+type fleetRegistry struct {
+	mu   sync.Mutex
+	ops  map[string]*fleet.Operator
+	mode *OperatorMode // nil until EnableOperator: in-memory, default policy
+	// submitMu serializes submits end to end: the cross-fleet
+	// ID-uniqueness scan and the submit it guards must be one atomic
+	// step, or two concurrent submits of the same ID to different fleets
+	// both pass the scan and mint a duplicate ID. A dedicated lock
+	// rather than mu (which it wraps, never the reverse) so the fsync
+	// inside a journaled Submit never blocks registry readers.
+	submitMu sync.Mutex
+}
+
+func (fr *fleetRegistry) init() {
+	fr.ops = make(map[string]*fleet.Operator)
+}
+
+// journaled reports whether fleets are durable. Callers hold mu.
+func (fr *fleetRegistry) journaled() bool {
+	return fr.mode != nil && fr.mode.JournalDir != ""
+}
+
+// OperatorMode configures the fleets behind /v1/jobs.
 type OperatorMode struct {
 	// JournalDir holds one journal (+ snapshot) per fleet, named by the
-	// hash of the fleet's topology fingerprint. Required.
+	// hash of the fleet's topology fingerprint. "" keeps fleets in
+	// memory: no journal, no wall clock, no event stream.
 	JournalDir string
 	// Policy is the scheduling policy for freshly created fleets
 	// ("" = fleet.DefaultPolicy). Recovered fleets keep their own.
 	Policy string
-	// Clock drives every operator (nil = one shared real clock). Tests
-	// inject a fleet.FakeClock.
+	// Clock drives every journaled operator (nil = one shared real
+	// clock). Tests inject a fleet.FakeClock.
 	Clock fleet.Clock
 	// SnapshotEvery bounds journal growth per fleet (0 = the operator
 	// default).
@@ -44,29 +77,29 @@ func journalName(fp string) string {
 	return fmt.Sprintf("fleet-%016x.journal", h.Sum64())
 }
 
-// EnableOperator switches the jobs surface to operator mode and
-// recovers every fleet already journaled under mode.JournalDir.
+// EnableOperator configures the fleets behind /v1/jobs and, when
+// mode.JournalDir is set, recovers every fleet already journaled there.
 // It must be called before the server takes traffic. Returns the
 // number of fleets recovered.
 func (s *Server) EnableOperator(mode OperatorMode) (int, error) {
-	if mode.JournalDir == "" {
-		return 0, fmt.Errorf("api: operator mode needs a journal directory")
-	}
 	if _, err := fleet.PolicyByName(mode.Policy); err != nil {
 		return 0, err
+	}
+	fr := &s.fleets
+	fr.mu.Lock()
+	defer fr.mu.Unlock()
+	if fr.mode != nil {
+		return 0, fmt.Errorf("api: operator mode already enabled")
+	}
+	if mode.JournalDir == "" {
+		fr.mode = &mode
+		return 0, nil
 	}
 	if mode.Clock == nil {
 		mode.Clock = fleet.NewRealClock()
 	}
 	if err := os.MkdirAll(mode.JournalDir, 0o755); err != nil {
 		return 0, err
-	}
-
-	fr := &s.fleets
-	fr.mu.Lock()
-	defer fr.mu.Unlock()
-	if fr.mode != nil {
-		return 0, fmt.Errorf("api: operator mode already enabled")
 	}
 
 	names, err := filepath.Glob(filepath.Join(mode.JournalDir, "fleet-*.journal"))
@@ -107,33 +140,12 @@ func (s *Server) EnableOperator(mode OperatorMode) (int, error) {
 	return recovered, nil
 }
 
-// OperatorEnabled reports whether the jobs surface runs in operator
-// mode.
-func (s *Server) OperatorEnabled() bool {
-	s.fleets.mu.Lock()
-	defer s.fleets.mu.Unlock()
-	return s.fleets.mode != nil
-}
-
 // CloseOperators cleanly shuts every operator down: retire what is
-// retirable, cut a final snapshot, close the journals. Part of the
-// graceful-shutdown path; a crash instead leaves journals the recovery
-// path replays.
+// retirable, cut a final snapshot, close the journals (a no-op for
+// in-memory fleets). Part of the graceful-shutdown path; a crash
+// instead leaves journals the recovery path replays.
 func (s *Server) CloseOperators() error {
-	fr := &s.fleets
-	fr.mu.Lock()
-	ops := make([]*fleet.Operator, 0, len(fr.ops))
-	for _, op := range fr.ops {
-		ops = append(ops, op)
-	}
-	fr.mu.Unlock()
-	var first error
-	for _, op := range ops {
-		if err := op.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
+	return s.eachOperator((*fleet.Operator).Close)
 }
 
 // AbortOperators drops every operator cold — journals close, but
@@ -141,16 +153,15 @@ func (s *Server) CloseOperators() error {
 // kill -9 leaves. The crash-recovery tests (and fast non-graceful
 // teardowns) use it; production shutdown wants CloseOperators.
 func (s *Server) AbortOperators() error {
-	fr := &s.fleets
-	fr.mu.Lock()
-	ops := make([]*fleet.Operator, 0, len(fr.ops))
-	for _, op := range fr.ops {
-		ops = append(ops, op)
-	}
-	fr.mu.Unlock()
+	return s.eachOperator((*fleet.Operator).Abort)
+}
+
+// eachOperator runs fn on every operator and returns the first error.
+func (s *Server) eachOperator(fn func(*fleet.Operator) error) error {
+	_, ops := s.operators()
 	var first error
 	for _, op := range ops {
-		if err := op.Abort(); err != nil && first == nil {
+		if err := fn(op); err != nil && first == nil {
 			first = err
 		}
 	}
@@ -162,7 +173,9 @@ func (s *Server) AbortOperators() error {
 // fingerprint. The requested policy applies to fresh fleets and must
 // match on existing ones (409 otherwise): a fleet has exactly one
 // policy at a time, switching it is an operator action, not a
-// side effect of a submit.
+// side effect of a submit. Fresh fleets are journaled only when the
+// registry is; in-memory fleets get no event hub, so /v1/events stays
+// silent for them.
 func (s *Server) operatorFor(fp string, spec fleet.Spec, policy string) (*fleet.Operator, error) {
 	fr := &s.fleets
 	fr.mu.Lock()
@@ -177,21 +190,41 @@ func (s *Server) operatorFor(fp string, spec fleet.Spec, policy string) (*fleet.
 	if len(fr.ops) >= maxFleets {
 		return nil, errf(http.StatusTooManyRequests, "jobs: daemon already manages %d fleets", maxFleets)
 	}
-	if policy == "" {
-		policy = fr.mode.Policy
+	cfg := fleet.OperatorConfig{Policy: policy}
+	if cfg.Policy == "" && fr.mode != nil {
+		cfg.Policy = fr.mode.Policy
 	}
-	op, err := fleet.NewOperator(s.pool.ShardFor(fp), spec, fleet.OperatorConfig{
-		Clock:         fr.mode.Clock,
-		Journal:       filepath.Join(fr.mode.JournalDir, journalName(fp)),
-		Policy:        policy,
-		SnapshotEvery: fr.mode.SnapshotEvery,
-		Events:        s.events,
-	})
+	if fr.journaled() {
+		cfg.Clock = fr.mode.Clock
+		cfg.Journal = filepath.Join(fr.mode.JournalDir, journalName(fp))
+		cfg.SnapshotEvery = fr.mode.SnapshotEvery
+		cfg.Events = s.events
+	}
+	// The fleet lives on the shard that owns its topology fingerprint,
+	// so its slice plans share that shard's communicator cache.
+	op, err := fleet.NewOperator(s.pool.ShardFor(fp), spec, cfg)
 	if err != nil {
 		return nil, errf(http.StatusBadRequest, "jobs: %v", err)
 	}
 	fr.ops[fp] = op
 	return op, nil
+}
+
+// dropIfEmpty retires an in-memory fleet whose last job was cancelled,
+// so idle topologies neither count against maxFleets nor pin their
+// plan memos. It holds submitMu: every submit holds that lock from
+// resolving its operator through admitting the job, so the emptiness
+// re-check below cannot race a submit joining the fleet being dropped.
+// Journaled fleets stay registered — their journal outlives the job set.
+func (s *Server) dropIfEmpty(fp string, op *fleet.Operator) {
+	fr := &s.fleets
+	fr.submitMu.Lock()
+	defer fr.submitMu.Unlock()
+	fr.mu.Lock()
+	defer fr.mu.Unlock()
+	if !fr.journaled() && fr.ops[fp] == op && op.Len() == 0 {
+		delete(fr.ops, fp)
+	}
 }
 
 // operators snapshots the operator set ordered by fingerprint, the
@@ -211,9 +244,9 @@ func (s *Server) operators() ([]string, map[string]*fleet.Operator) {
 	return fps, ops
 }
 
-// findOperatorJob resolves a job ID to its owning operator by scanning
-// the (≤ maxFleets) operators in fingerprint order.
-func (s *Server) findOperatorJob(id string) (*fleet.Operator, string, bool) {
+// findJob resolves a job ID — live or retired — to its owning operator
+// by scanning the (≤ maxFleets) operators in fingerprint order.
+func (s *Server) findJob(id string) (*fleet.Operator, string, bool) {
 	fps, ops := s.operators()
 	for _, fp := range fps {
 		if ops[fp].Has(id) {
@@ -221,124 +254,4 @@ func (s *Server) findOperatorJob(id string) (*fleet.Operator, string, bool) {
 		}
 	}
 	return nil, "", false
-}
-
-// submitOperator admits one job in operator mode. The whole
-// check-then-submit runs under the registry's submit lock: the
-// uniqueness scan and the submit it authorizes are one atomic step.
-func (s *Server) submitOperator(w http.ResponseWriter, req JobRequest, fp string) {
-	s.fleets.submitMu.Lock()
-	defer s.fleets.submitMu.Unlock()
-	// Global job-ID uniqueness across fleets, like the registry map in
-	// manager mode. Same-fleet duplicates fall through to the operator's
-	// own (journal-consistent) check.
-	if _, owner, ok := s.findOperatorJob(req.Job.ID); ok && owner != fp {
-		writeError(w, http.StatusConflict, "jobs: job %q already exists in fleet %s", req.Job.ID, owner)
-		return
-	}
-	op, err := s.operatorFor(fp, req.Fleet, req.Policy)
-	if err != nil {
-		writeError(w, errStatus(err), "%s", err)
-		return
-	}
-	if op.Len() >= fleet.MaxJobs {
-		writeError(w, http.StatusTooManyRequests, "jobs: fleet already holds %d jobs (the per-fleet limit)", fleet.MaxJobs)
-		return
-	}
-	if err := op.Submit(req.Job); err != nil {
-		status := http.StatusBadRequest
-		if strings.Contains(err.Error(), "already") {
-			status = http.StatusConflict
-		}
-		writeError(w, status, "jobs: %v", err)
-		return
-	}
-	s.writeOperatorJob(w, op, fp, req.Job.ID)
-}
-
-// writeOperatorJob answers with one job's placement, wall-clock state,
-// and the owning fleet's schedule summary.
-func (s *Server) writeOperatorJob(w http.ResponseWriter, op *fleet.Operator, fp, id string) {
-	st, ok, err := op.Job(id)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "jobs: %v", err)
-		return
-	}
-	if !ok {
-		writeError(w, http.StatusNotFound, "jobs: no such job %q", id)
-		return
-	}
-	sched, err := op.Schedule()
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "jobs: %v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, JobResponse{
-		Fleet:       fp,
-		Jobs:        op.Len(),
-		Placement:   st.Placement,
-		State:       st.State,
-		Now:         op.Now(),
-		Policy:      op.Policy(),
-		Makespan:    sched.Makespan,
-		Utilization: sched.Utilization,
-	})
-}
-
-// getOperatorJob answers GET /v1/jobs/{id} in operator mode: live and
-// retired jobs both resolve (a client polling a finished job sees
-// state "done" with its final placement, not a 404).
-func (s *Server) getOperatorJob(w http.ResponseWriter, id string) {
-	op, fp, ok := s.findOperatorJob(id)
-	if !ok {
-		writeError(w, http.StatusNotFound, "jobs: no such job %q", id)
-		return
-	}
-	s.writeOperatorJob(w, op, fp, id)
-}
-
-// cancelOperatorJob answers DELETE /v1/jobs/{id} in operator mode.
-// Retired jobs refuse with 409: their outcome is history, not
-// cancellable work.
-func (s *Server) cancelOperatorJob(w http.ResponseWriter, id string) {
-	op, _, ok := s.findOperatorJob(id)
-	if !ok {
-		writeError(w, http.StatusNotFound, "jobs: no such job %q", id)
-		return
-	}
-	canceled, err := op.Cancel(id)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "jobs: %v", err)
-		return
-	}
-	if !canceled {
-		writeError(w, http.StatusConflict, "jobs: job %q already ran to completion", id)
-		return
-	}
-	writeJSON(w, http.StatusOK, CancelResponse{Job: id, Canceled: true, Jobs: op.Len()})
-}
-
-// listOperatorFleets answers GET /v1/jobs in operator mode: every
-// fleet's live schedule plus its policy, wall clock, and retired-job
-// count.
-func (s *Server) listOperatorFleets(w http.ResponseWriter) {
-	fps, ops := s.operators()
-	resp := FleetsResponse{Version: Version, Fleets: []FleetSchedule{}}
-	for _, fp := range fps {
-		op := ops[fp]
-		sched, err := op.Schedule()
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, "jobs: fleet %s: %v", fp, err)
-			return
-		}
-		resp.Fleets = append(resp.Fleets, FleetSchedule{
-			Fleet:    fp,
-			Jobs:     op.Len(),
-			Schedule: sched,
-			Policy:   op.Policy(),
-			Now:      op.Now(),
-			Done:     len(op.Done()),
-		})
-	}
-	writeJSON(w, http.StatusOK, resp)
 }

@@ -23,6 +23,12 @@ import (
 // mutation is journaled so a restarted process recovers its fleet and
 // resumes scheduling bit-identically to a process that never died.
 //
+// Without a journal the Operator is the in-memory face of the same
+// Manager: no journal, no snapshot, no event loop, and a clock frozen
+// at instant 0, so a zero Submit stays 0 and nothing ever retires —
+// the Manager's own virtual-time semantics behind the Operator's API
+// (DESIGN.md decision 16).
+//
 // Determinism across a crash is the design center:
 //
 //   - The journal records mutations (inputs), never schedules
@@ -39,7 +45,7 @@ import (
 type Operator struct {
 	m     *Manager
 	clock Clock
-	j     *Journal
+	j     *Journal // nil = in memory
 
 	mu       sync.Mutex
 	spec     Spec
@@ -72,7 +78,9 @@ type OperatorConfig struct {
 	// Clock drives the operator (nil = NewRealClock). Tests inject a
 	// FakeClock to make whole operator lifetimes deterministic.
 	Clock Clock
-	// Journal is the path of the fsync'd mutation log (required).
+	// Journal is the path of the fsync'd mutation log. "" builds an
+	// in-memory operator: only Policy applies, the clock is frozen at 0,
+	// no event loop runs, and nothing is published.
 	Journal string
 	// Snapshot is the snapshot document path ("" = Journal + ".snap").
 	Snapshot string
@@ -95,10 +103,15 @@ type OperatorConfig struct {
 // journal creates the fleet from spec and writes the create record; an
 // existing journal/snapshot pair recovers the fleet — spec must then
 // match the recorded one — and resumes the wall clock from the
-// recovered instant.
+// recovered instant. An empty cfg.Journal creates the fleet in memory.
 func NewOperator(eng *engine.Engine, spec Spec, cfg OperatorConfig) (*Operator, error) {
 	if cfg.Journal == "" {
-		return nil, fmt.Errorf("fleet: operator needs a journal path")
+		// A FakeClock that nothing advances is the frozen clock.
+		o := &Operator{clock: NewFakeClock(), done: make(map[string]Placement), stop: make(chan struct{})}
+		if err := o.create(eng, spec, cfg.Policy); err != nil {
+			return nil, err
+		}
+		return o, nil
 	}
 	if cfg.Clock == nil {
 		cfg.Clock = NewRealClock()
@@ -361,6 +374,9 @@ func (o *Operator) kick() {
 // publish the matching event (events only ever follow the append —
 // DESIGN.md decision 14). Callers hold o.mu.
 func (o *Operator) journalApplied(rec Record, rollback func()) (uint64, error) {
+	if o.j == nil {
+		return 0, nil
+	}
 	seq, err := o.j.Append(rec)
 	if err != nil {
 		rollback()
@@ -780,6 +796,9 @@ func (o *Operator) tryRetireLocked() error {
 // elsewhere. On any failure the journal is left intact, so recovery
 // still replays the full record set.
 func (o *Operator) snapshotLocked() error {
+	if o.j == nil {
+		return nil
+	}
 	snap := FleetSnapshot{
 		Seq:      o.j.Seq(),
 		Now:      o.now(),
@@ -823,6 +842,9 @@ func (o *Operator) stopLoop() {
 // journal. The operator is unusable afterwards.
 func (o *Operator) Close() error {
 	o.stopLoop()
+	if o.j == nil {
+		return nil
+	}
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	o.publishLocked() // final transitions precede the retire event
@@ -839,6 +861,9 @@ func (o *Operator) Close() error {
 // the state a kill -9 leaves behind (minus any torn tail).
 func (o *Operator) Abort() error {
 	o.stopLoop()
+	if o.j == nil {
+		return nil
+	}
 	return o.j.Close()
 }
 

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -8,6 +9,7 @@ import (
 	"testing"
 
 	"holmes/internal/engine"
+	"holmes/internal/events"
 	"holmes/internal/scenario"
 )
 
@@ -106,4 +108,212 @@ func TestOperatorSetScenarioRecovery(t *testing.T) {
 	step(5, func(o *Operator) error { return o.SetScenario(nil) })
 	crashAndCompare("after clear")
 	must(t, vic.Abort())
+}
+
+// TestOperatorMutationRecovery replays the apply_event, set_policy,
+// cancel and retire record kinds: each mutation is applied to an
+// unkilled operator and to a victim that is killed right after it and
+// recovered from its journal, and the recovered schedule, policy,
+// timeline and retired set must DeepEqual the unkilled twin's at every
+// step. Both loops are stopped, so the test alone decides when ticks
+// (and so retirements) happen.
+func TestOperatorMutationRecovery(t *testing.T) {
+	eng := engine.New(engine.Config{})
+	clockC, clockV := NewFakeClock(), NewFakeClock()
+	ctl := eventOp(t, eng, t.TempDir(), clockC, nil)
+	defer ctl.Abort()
+	dirV := t.TempDir()
+	vic := eventOp(t, eng, dirV, clockV, nil)
+	crashAndCompare := func(stage string) {
+		must(t, vic.Abort())
+		clockV = NewFakeClock()
+		vic = eventOp(t, eng, dirV, clockV, nil)
+		a, err := ctl.Schedule()
+		must(t, err)
+		b, err := vic.Schedule()
+		must(t, err)
+		if !reflect.DeepEqual(a, b) {
+			t.Fatalf("%s: recovered schedule diverged:\nunkilled:  %s\nrecovered: %s", stage, marshalSched(t, a), marshalSched(t, b))
+		}
+		if ctl.Policy() != vic.Policy() || !reflect.DeepEqual(ctl.m.Scenario(), vic.m.Scenario()) {
+			t.Fatalf("%s: recovered policy %q scenario %+v, want %q %+v",
+				stage, vic.Policy(), vic.m.Scenario(), ctl.Policy(), ctl.m.Scenario())
+		}
+		if !reflect.DeepEqual(ctl.Done(), vic.Done()) {
+			t.Fatalf("%s: recovered retired set %+v, want %+v", stage, vic.Done(), ctl.Done())
+		}
+	}
+	steps := []struct {
+		name string
+		now  float64
+		f    func(*Operator) error
+	}{
+		{"submit s1", 1, func(o *Operator) error { return o.Submit(Job{ID: "s1", GPUs: 16, Iterations: 50, Model: pg1()}) }},
+		{"submit s2", 2, func(o *Operator) error {
+			return o.Submit(Job{ID: "s2", GPUs: 8, Iterations: 50, Model: pg1(), Priority: 5})
+		}},
+		{"fail_node", 3, func(o *Operator) error { return o.ApplyEvent(scenario.Event{Kind: scenario.FailNode, Node: 0}) }},
+		{"restore", 4, func(o *Operator) error { return o.ApplyEvent(scenario.Event{Kind: scenario.RestoreNode, Node: 0}) }},
+		{"set_policy priority", 5, func(o *Operator) error { return o.SetPolicy("priority") }},
+		{"set_policy edf", 6, func(o *Operator) error { return o.SetPolicy("edf") }},
+		{"cancel s2", 7, func(o *Operator) error {
+			if ok, err := o.Cancel("s2"); !ok {
+				return fmt.Errorf("cancel of live s2 refused: %v", err)
+			}
+			return nil
+		}},
+	}
+	for _, st := range steps {
+		at(ctl, clockC, st.now)
+		must(t, st.f(ctl))
+		at(vic, clockV, st.now)
+		must(t, st.f(vic))
+		crashAndCompare(st.name)
+	}
+	if got := len(vic.m.Scenario().Events); got != 2 {
+		t.Fatalf("recovered timeline holds %d events, want the fail and the restore", got)
+	}
+
+	// Retire s1 at an idle barrier. The victim's snapshot cannot be
+	// published, so its crash lands between the retire record and the
+	// snapshot that would have covered it: recovery must replay it.
+	at(ctl, clockC, 5000)
+	ctl.tick()
+	at(vic, clockV, 5000)
+	vic.snapPath = filepath.Join(dirV, "missing", "fleet.snap")
+	vic.tick()
+	if len(ctl.Done()) != 1 || ctl.Len() != 0 {
+		t.Fatalf("control retired %d jobs with %d live, want s1 retired", len(ctl.Done()), ctl.Len())
+	}
+	crashAndCompare("retire")
+	must(t, vic.Abort())
+}
+
+// TestOperatorSetScenarioEvents covers SetScenario with a hub attached:
+// a replace and a clear each publish one scenario event carrying the
+// journal sequence of the record that made it durable, and a timeline
+// the fleet refuses is neither journaled nor published.
+func TestOperatorSetScenarioEvents(t *testing.T) {
+	eng := engine.New(engine.Config{})
+	clock := NewFakeClock()
+	hub := events.NewHub()
+	op := eventOp(t, eng, t.TempDir(), clock, hub)
+	defer op.Abort()
+	sub := hub.Subscribe(64)
+	must(t, op.Submit(Job{ID: "a", Submit: 1, GPUs: 8, Iterations: 50, Model: pg1()}))
+	seq := op.j.Seq()
+
+	bad := &scenario.Scenario{Name: "bad", Events: []scenario.Event{{Kind: scenario.Partition, At: 5, Cluster: 0, Peer: 1}}}
+	if err := op.SetScenario(bad); err == nil {
+		t.Fatal("SetScenario accepted a partition the fleet cannot model")
+	}
+	if op.j.Seq() != seq || op.m.Scenario() != nil {
+		t.Fatalf("refused timeline leaked: journal seq %d (want %d), scenario %+v", op.j.Seq(), seq, op.m.Scenario())
+	}
+	at(op, clock, 2)
+	must(t, op.SetScenario(&scenario.Scenario{Name: "storm", Events: []scenario.Event{
+		{Kind: scenario.DegradeNIC, At: 4, Node: 0, Class: scenario.ClassRDMA, Factor: 0.5},
+	}}))
+	at(op, clock, 3)
+	must(t, op.SetScenario(nil))
+	hub.Close()
+
+	var got []events.Event
+	for ev := range sub.Events() {
+		if ev.Kind == events.KindScenario {
+			got = append(got, ev)
+		}
+	}
+	if len(got) != 2 {
+		t.Fatalf("published %d scenario events, want replace and clear: %+v", len(got), got)
+	}
+	want := []struct {
+		at       float64
+		state    string
+		scenario string
+		seq      uint64
+	}{{2, "replaced", "storm", seq + 1}, {3, "cleared", "", seq + 2}}
+	for i, w := range want {
+		ev := got[i]
+		if ev.At != w.at || ev.State != w.state || ev.Scenario != w.scenario || ev.JournalSeq != w.seq {
+			t.Fatalf("event %d = %+v, want at=%v state=%s scenario=%q journal_seq=%d", i, ev, w.at, w.state, w.scenario, w.seq)
+		}
+	}
+}
+
+// TestOperatorInMemory pins the journal-less operator to the Manager's
+// virtual-time semantics: zero stamps stay 0, the clock never moves,
+// nothing retires, persistence calls are no-ops, and every schedule is
+// DeepEqual to a bare Manager fed the same mutations.
+func TestOperatorInMemory(t *testing.T) {
+	eng := engine.New(engine.Config{})
+	spec := Spec{Env: "Hybrid", Nodes: 4}
+	op, err := NewOperator(eng, spec, OperatorConfig{Policy: "priority"})
+	must(t, err)
+	topo, err := spec.Topology()
+	must(t, err)
+	m, err := NewManager(eng, topo)
+	must(t, err)
+	must(t, m.SetPolicy("priority"))
+
+	jobs := []Job{
+		{ID: "a", GPUs: 16, Iterations: 2, Model: pg1()},
+		{ID: "b", GPUs: 16, Iterations: 1, Model: pg1(), Priority: 3},
+		{ID: "c", Submit: 5, GPUs: 32, Iterations: 1, Model: pg1()},
+	}
+	for _, j := range jobs {
+		must(t, op.Submit(j))
+		must(t, m.Submit(j))
+	}
+	must(t, op.ApplyEvent(scenario.Event{Kind: scenario.FailNode, At: 1, Node: 2}))
+	must(t, m.ApplyEvent(scenario.Event{Kind: scenario.FailNode, At: 1, Node: 2}))
+	if ok, err := op.Cancel("b"); !ok || err != nil || !m.Cancel("b") {
+		t.Fatalf("cancel of a live job = %v, %v", ok, err)
+	}
+	if ok, err := op.Cancel("b"); ok || err != nil {
+		t.Fatalf("second cancel = %v, %v; want false, nil", ok, err)
+	}
+
+	a, err := op.Schedule()
+	must(t, err)
+	b, err := m.Schedule()
+	must(t, err)
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("in-memory operator diverged from the manager:\noperator: %s\nmanager:  %s", marshalSched(t, a), marshalSched(t, b))
+	}
+	if j, ok := op.m.jobByID("a"); !ok || j.Submit != 0 {
+		t.Fatalf("job a = %+v, %v; want a zero submit stamp", j, ok)
+	}
+	must(t, op.Snapshot())
+	must(t, op.Close())
+	must(t, op.Abort())
+	if op.Now() != 0 || op.Len() != 2 || len(op.Done()) != 0 {
+		t.Fatalf("now=%v live=%d done=%d; want a frozen clock and nothing retired", op.Now(), op.Len(), len(op.Done()))
+	}
+}
+
+// TestOperatorRejectsMalformedRecords: a journal whose records parse
+// but cannot be replayed fails recovery loudly, naming the record,
+// instead of recovering a fleet that silently lost a mutation.
+func TestOperatorRejectsMalformedRecords(t *testing.T) {
+	eng := engine.New(engine.Config{})
+	create := `{"seq":1,"kind":"create","fleet":{"env":"Hybrid","nodes":4}}` + "\n"
+	for _, c := range []struct{ name, rec, err string }{
+		{"second create", `{"seq":2,"kind":"create","fleet":{"env":"Hybrid","nodes":4}}`, "unexpected create"},
+		{"submit without job", `{"seq":2,"kind":"submit"}`, "without a job"},
+		{"apply_event without event", `{"seq":2,"kind":"apply_event"}`, "without an event"},
+		{"retire of unknown job", `{"seq":2,"kind":"retire","ids":["ghost"]}`, "unknown job"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			must(t, os.WriteFile(filepath.Join(dir, "fleet.journal"), []byte(create+c.rec+"\n"), 0o644))
+			_, err := NewOperator(eng, Spec{Env: "Hybrid", Nodes: 4}, OperatorConfig{
+				Clock:   NewFakeClock(),
+				Journal: filepath.Join(dir, "fleet.journal"),
+			})
+			if err == nil || !strings.Contains(err.Error(), "seq 2") || !strings.Contains(err.Error(), c.err) {
+				t.Fatalf("recovery error %v, want one naming seq 2 and %q", err, c.err)
+			}
+		})
+	}
 }

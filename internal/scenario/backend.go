@@ -1,12 +1,7 @@
 package scenario
 
 import (
-	"bytes"
-	"context"
-	"encoding/json"
 	"fmt"
-	"net/http"
-	"time"
 
 	"holmes/internal/netsim"
 	"holmes/internal/sim"
@@ -215,145 +210,6 @@ func (b *FabricBackend) Stream(ev Event, ctl StreamCtl) {
 			if inflight != nil {
 				b.fab.AbortFlow(inflight)
 			}
-		})
-	}
-}
-
-// HTTPBackend forwards scenario effects as JSON to an external
-// impairment server — the netsim-in-a-box shape: one POST per state
-// change, absolute values, per-direction targeting — so a timeline can
-// drive real tc/netem rules for validation runs instead of the
-// in-process fluid fabric. It is a stub in the sense that it only
-// serializes and ships state; it never reads results back.
-type HTTPBackend struct {
-	base   string
-	topo   *topology.Topology
-	client *http.Client
-	ctx    context.Context
-}
-
-// HTTPBackendTimeout bounds every POST of a backend built with a nil
-// client. An external impairment box that stops answering must fail the
-// timeline, not hang the scenario runtime forever — http.DefaultClient
-// has no timeout at all, so it is never used here.
-const HTTPBackendTimeout = 10 * time.Second
-
-// NewHTTPBackend creates a backend POSTing to baseURL (no trailing
-// slash), validating timelines against topo. A nil client gets a default
-// client bounded by HTTPBackendTimeout; a caller-supplied client is
-// trusted as-is (set its Timeout, or cancel through WithContext).
-func NewHTTPBackend(baseURL string, topo *topology.Topology, client *http.Client) *HTTPBackend {
-	if client == nil {
-		client = &http.Client{Timeout: HTTPBackendTimeout}
-	}
-	return &HTTPBackend{base: baseURL, topo: topo, client: client, ctx: context.Background()}
-}
-
-// WithContext binds every subsequent POST to ctx: cancelling it aborts
-// in-flight requests immediately, independent of the client's timeout.
-// It returns the backend for chaining.
-func (b *HTTPBackend) WithContext(ctx context.Context) *HTTPBackend {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	b.ctx = ctx
-	return b
-}
-
-func (b *HTTPBackend) post(path string, payload any) error {
-	body, err := json.Marshal(payload)
-	if err != nil {
-		return fmt.Errorf("scenario: http backend: %w", err)
-	}
-	req, err := http.NewRequestWithContext(b.ctx, http.MethodPost, b.base+path, bytes.NewReader(body))
-	if err != nil {
-		return fmt.Errorf("scenario: http backend: %w", err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := b.client.Do(req)
-	if err != nil {
-		return fmt.Errorf("scenario: http backend: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode < 200 || resp.StatusCode > 299 {
-		return fmt.Errorf("scenario: http backend: %s returned %s", path, resp.Status)
-	}
-	return nil
-}
-
-// Topo implements Backend.
-func (b *HTTPBackend) Topo() *topology.Topology { return b.topo }
-
-// SetNodeFactor implements Backend.
-func (b *HTTPBackend) SetNodeFactor(node int, class netsim.Class, factor float64) error {
-	return b.post("/v2/rate", map[string]any{
-		"node": node, "class": class.String(), "factor": factor,
-	})
-}
-
-// SetTrunkFactor implements Backend.
-func (b *HTTPBackend) SetTrunkFactor(c1, c2 int, factor float64) error {
-	return b.post("/v2/trunk", map[string]any{
-		"clusters": [2]int{c1, c2}, "factor": factor,
-	})
-}
-
-// CheckTrunk implements Backend: the external network's trunking is its
-// own business, so every partition is accepted.
-func (b *HTTPBackend) CheckTrunk(c1, c2 int) error { return nil }
-
-// ApplyImpairment implements Backend.
-func (b *HTTPBackend) ApplyImpairment(node int, class netsim.Class, inbound bool, imp netsim.Impairment) error {
-	dir := "out"
-	if inbound {
-		dir = "in"
-	}
-	eff := imp.Efficiency
-	if eff <= 0 {
-		eff = 1
-	}
-	return b.post("/v2/impair", map[string]any{
-		"node":      node,
-		"class":     class.String(),
-		"direction": dir,
-		"delay_ms":  imp.ExtraLatency * 1e3,
-		"jitter_ms": imp.JitterSeconds * 1e3,
-		"dist":      string(imp.JitterDist),
-		"loss_pct":  (1 - eff) * 100,
-	})
-}
-
-// ClearImpairments implements Backend.
-func (b *HTTPBackend) ClearImpairments(node int) error {
-	return b.post("/v2/impair/clear", map[string]any{"node": node})
-}
-
-// SeedJitter implements Backend: shipped for observability; an external
-// netem has its own entropy.
-func (b *HTTPBackend) SeedJitter(seed int64) {
-	// Best-effort: a backend that rejects the seed still runs the rest
-	// of the timeline, just without reproducible jitter.
-	_ = b.post("/v2/seed", map[string]any{"seed": seed})
-}
-
-// Stream implements Backend: the server starts offered load at At and a
-// scheduled stop call ends it at Until.
-func (b *HTTPBackend) Stream(ev Event, ctl StreamCtl) {
-	class, err := ev.Class.netClass(netsim.Ether)
-	if err != nil {
-		panic(fmt.Sprintf("scenario: background_traffic: %v", err))
-	}
-	start := map[string]any{
-		"src": ev.Src, "dst": ev.Dst, "class": class.String(), "gbps": ev.Gbps,
-	}
-	if err := b.post("/v2/stream", start); err != nil {
-		panic(fmt.Sprintf("scenario: background_traffic: %v", err))
-	}
-	if ev.Until > 0 {
-		ctl.Schedule(ev.Until, func() {
-			_ = b.post("/v2/stream", map[string]any{
-				"src": ev.Src, "dst": ev.Dst, "stop": true,
-			})
 		})
 	}
 }

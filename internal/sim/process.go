@@ -1,56 +1,5 @@
 package sim
 
-import "fmt"
-
-// Process is a lightweight coroutine-style abstraction over the event
-// engine: a sequence of timed steps expressed as callbacks. It exists so
-// higher layers (pipeline executor, netsim flows) can express "do X, wait
-// for Y, then do Z" without goroutines, keeping the simulation
-// single-threaded and deterministic.
-type Process struct {
-	eng  *Engine
-	name string
-	done bool
-	// waiters run when the process completes.
-	waiters []func()
-}
-
-// NewProcess creates a named process bound to an engine. The name appears in
-// diagnostics only.
-func NewProcess(eng *Engine, name string) *Process {
-	return &Process{eng: eng, name: name}
-}
-
-// Name returns the diagnostic name.
-func (p *Process) Name() string { return p.name }
-
-// Done reports whether Complete has been called.
-func (p *Process) Done() bool { return p.done }
-
-// Complete marks the process finished and fires all waiters at the current
-// virtual time. Completing twice panics — it always indicates a scheduling
-// bug in the caller.
-func (p *Process) Complete() {
-	if p.done {
-		panic(fmt.Sprintf("sim: process %q completed twice", p.name))
-	}
-	p.done = true
-	for _, w := range p.waiters {
-		w()
-	}
-	p.waiters = nil
-}
-
-// OnComplete registers fn to run when the process completes. If the process
-// is already done, fn runs immediately.
-func (p *Process) OnComplete(fn func()) {
-	if p.done {
-		fn()
-		return
-	}
-	p.waiters = append(p.waiters, fn)
-}
-
 // WaitGroup counts outstanding simulated activities and fires a callback
 // when the count drops to zero, mirroring sync.WaitGroup for virtual time.
 type WaitGroup struct {

@@ -174,37 +174,6 @@ func TestEventCountProperty(t *testing.T) {
 	}
 }
 
-func TestProcessCompletion(t *testing.T) {
-	eng := NewEngine()
-	p := NewProcess(eng, "p")
-	ran := 0
-	p.OnComplete(func() { ran++ })
-	if p.Done() {
-		t.Fatal("fresh process already done")
-	}
-	eng.At(3, func() { p.Complete() })
-	eng.Run()
-	if !p.Done() || ran != 1 {
-		t.Fatalf("done=%v ran=%d", p.Done(), ran)
-	}
-	// Late waiter fires immediately.
-	p.OnComplete(func() { ran++ })
-	if ran != 2 {
-		t.Fatalf("late waiter did not fire: ran=%d", ran)
-	}
-}
-
-func TestProcessDoubleCompletePanics(t *testing.T) {
-	p := NewProcess(NewEngine(), "p")
-	p.Complete()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("double Complete did not panic")
-		}
-	}()
-	p.Complete()
-}
-
 func TestWaitGroup(t *testing.T) {
 	var wg WaitGroup
 	fired := 0
@@ -222,78 +191,5 @@ func TestWaitGroup(t *testing.T) {
 	wg.OnZero(func() { fired++ })
 	if fired != 2 {
 		t.Fatalf("fired=%d, want 2", fired)
-	}
-}
-
-func TestResourceExclusive(t *testing.T) {
-	eng := NewEngine()
-	res := NewResource(eng, 1)
-	var order []string
-	start := func(name string, dur float64) {
-		res.Acquire(func() {
-			order = append(order, name+"+")
-			eng.After(dur, func() {
-				order = append(order, name+"-")
-				res.Release()
-			})
-		})
-	}
-	eng.At(0, func() { start("a", 2) })
-	eng.At(1, func() { start("b", 2) })
-	end := eng.Run()
-	want := []string{"a+", "a-", "b+", "b-"}
-	for i := range want {
-		if i >= len(order) || order[i] != want[i] {
-			t.Fatalf("order = %v, want %v", order, want)
-		}
-	}
-	if end != 4 {
-		t.Fatalf("end = %v, want 4 (serialized)", end)
-	}
-}
-
-func TestResourceCapacityTwo(t *testing.T) {
-	eng := NewEngine()
-	res := NewResource(eng, 2)
-	done := 0
-	for i := 0; i < 4; i++ {
-		res.Use(1, func() { done++ })
-	}
-	end := eng.Run()
-	if done != 4 {
-		t.Fatalf("done = %d, want 4", done)
-	}
-	if end != 2 {
-		t.Fatalf("end = %v, want 2 (4 jobs, capacity 2, 1s each)", end)
-	}
-}
-
-func TestResourceReleaseWithoutAcquirePanics(t *testing.T) {
-	res := NewResource(NewEngine(), 1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Release without Acquire did not panic")
-		}
-	}()
-	res.Release()
-}
-
-// Property: with capacity c and n unit jobs of duration d, makespan is
-// ceil(n/c)*d.
-func TestResourceMakespanProperty(t *testing.T) {
-	f := func(nRaw, cRaw uint8) bool {
-		n := int(nRaw%40) + 1
-		c := int(cRaw%8) + 1
-		eng := NewEngine()
-		res := NewResource(eng, c)
-		for i := 0; i < n; i++ {
-			res.Use(1, nil)
-		}
-		end := eng.Run()
-		want := float64((n + c - 1) / c)
-		return end == want
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
 	}
 }
