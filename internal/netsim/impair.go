@@ -287,9 +287,10 @@ func (f *Fabric) AbortFlow(fl *Flow) {
 	}
 	fl.aborted = true
 	fl.onDone = nil
-	if fl.doneEv != nil {
-		fl.doneEv.Cancel()
-		fl.doneEv = nil
+	// Before admission the event stays queued and fires as a no-op, so
+	// aborting never changes how many events a run fires.
+	if fl.started {
+		fl.ev.Cancel()
 	}
 	if fl.admitted {
 		for i := 0; i < fl.nPath; i++ {

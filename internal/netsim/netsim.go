@@ -149,11 +149,13 @@ type Flow struct {
 	rate      float64
 	cap       float64 // per-flow rate ceiling (Inf when uncapped)
 	updatedAt sim.Time
-	doneEv    *sim.Event
-	onDone    func()
-	fab       *Fabric
-	started   bool
-	admitted  bool // currently occupying links
+	// ev fires the flow's admission once its latency term elapses, then
+	// (re-armed by every rate change) its completion.
+	ev       sim.Event
+	onDone   func()
+	fab      *Fabric
+	started  bool // admission has fired; ev now means completion
+	admitted bool // currently occupying links
 
 	seen     int // epoch mark: collected into the current region
 	frozen   bool
@@ -188,13 +190,13 @@ type Fabric struct {
 	inFlight int
 
 	// Rebalance machinery: seed links accumulated since the last pass,
-	// whether a coalesced pass is already scheduled at the current
-	// instant, and reusable region scratch.
-	dirtySeeds   []*Link
-	rebalPending bool
-	epoch        int
-	regionLinks  []*Link
-	regionFlows  []*Flow
+	// the coalesced pass's event (pending while one is scheduled at the
+	// current instant), and reusable region scratch.
+	dirtySeeds  []*Link
+	rebalEv     sim.Event
+	epoch       int
+	regionLinks []*Link
+	regionFlows []*Flow
 }
 
 // New creates a fabric over topo driven by eng.
@@ -205,6 +207,7 @@ func New(eng *sim.Engine, topo *topology.Topology, p Params) *Fabric {
 		eng:    eng,
 		trunks: make(map[[2]int]*Link),
 	}
+	f.rebalEv.Fn = f.flushRebalance
 	for _, n := range topo.Nodes() {
 		rdmaBps := n.RDMAGbps() / 8 * 1e9 * f.rdmaEff(n.RDMAType())
 		ethBps := n.EthNIC.Gbps / 8 * 1e9 * p.EthEff
@@ -359,8 +362,19 @@ func (f *Fabric) StartFlow(src, dst int, bytes float64, class Class, onDone func
 	}
 	// The flow occupies links only after its latency term elapses; for
 	// zero-byte control messages it completes then.
-	f.eng.After(lat, func() { f.admit(fl) })
+	fl.ev.Fn = fl.fire
+	f.eng.Schedule(&fl.ev, f.eng.Now()+lat)
 	return fl
+}
+
+// fire is the flow's event callback: its first firing admits the flow,
+// every later one completes it.
+func (fl *Flow) fire() {
+	if fl.started {
+		fl.fab.finish(fl)
+	} else {
+		fl.fab.admit(fl)
+	}
 }
 
 // StartFlowRateCapped is StartFlow with an explicit per-flow rate ceiling
@@ -407,10 +421,6 @@ func (f *Fabric) admit(fl *Flow) {
 }
 
 func (f *Fabric) finish(fl *Flow) {
-	if fl.doneEv != nil {
-		fl.doneEv.Cancel()
-		fl.doneEv = nil
-	}
 	if fl.admitted {
 		for i := 0; i < fl.nPath; i++ {
 			f.unlink(fl.path[i], fl.pathPos[i])
@@ -464,14 +474,12 @@ func (f *Fabric) scheduleLinkRebalance(links ...*Link) {
 			f.dirtySeeds = append(f.dirtySeeds, l)
 		}
 	}
-	if !f.rebalPending {
-		f.rebalPending = true
-		f.eng.After(0, f.flushRebalance)
+	if !f.rebalEv.Pending() {
+		f.eng.Schedule(&f.rebalEv, f.eng.Now())
 	}
 }
 
 func (f *Fabric) flushRebalance() {
-	f.rebalPending = false
 	seeds := f.dirtySeeds
 	f.dirtySeeds = f.dirtySeeds[:0]
 	for _, l := range seeds {
@@ -634,7 +642,9 @@ func (f *Fabric) freeze(fl *Flow, rate float64) {
 func (f *Fabric) reschedule(flows []*Flow) {
 	now := f.eng.Now()
 	for _, fl := range flows {
-		if fl.doneEv != nil && fl.rate == fl.prevRate {
+		// Region flows are admitted, so a pending ev is an armed
+		// completion.
+		if fl.ev.Pending() && fl.rate == fl.prevRate {
 			continue
 		}
 		fl.remaining -= fl.prevRate * (now - fl.updatedAt)
@@ -642,10 +652,7 @@ func (f *Fabric) reschedule(flows []*Flow) {
 			fl.remaining = 0
 		}
 		fl.updatedAt = now
-		if fl.doneEv != nil {
-			fl.doneEv.Cancel()
-			fl.doneEv = nil
-		}
+		fl.ev.Cancel()
 		var eta float64
 		switch {
 		case fl.remaining <= 0:
@@ -655,8 +662,7 @@ func (f *Fabric) reschedule(flows []*Flow) {
 		default:
 			eta = fl.remaining / fl.rate
 		}
-		fl := fl
-		fl.doneEv = f.eng.After(eta, func() { f.finish(fl) })
+		f.eng.Schedule(&fl.ev, now+eta)
 	}
 }
 

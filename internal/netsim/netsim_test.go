@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -270,5 +271,34 @@ func TestCrossClusterLatencyMatchesTrunkPath(t *testing.T) {
 	inT, crossT := fabT.Latency(0, 8, Ether), fabT.Latency(0, 16, Ether)
 	if crossT != 2*inT {
 		t.Fatalf("trunked cross-cluster latency %v, want double the intra-cluster %v", crossT, inT)
+	}
+}
+
+// BenchmarkStartFlow measures one flow's lifetime on a Hybrid-8 fabric:
+// StartFlow, admission, the coalesced rebalances its arrival and
+// departure trigger, and completion. Flows start in bursts of 12 that
+// contend for links, and each burst drains before the next.
+func BenchmarkStartFlow(b *testing.B) {
+	const perBurst = 12
+	topo := topology.HybridEnv(8)
+	n := topo.NumDevices()
+	eng := sim.NewEngine()
+	fab := New(eng, topo, DefaultParams())
+	rng := rand.New(rand.NewSource(1))
+	classes := []Class{Intra, RDMA, Ether}
+	done := 0
+	onDone := func() { done++ }
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		src := rng.Intn(n)
+		dst := (src + 1 + rng.Intn(n-1)) % n
+		fab.StartFlow(src, dst, (0.5+3.5*rng.Float64())*1e6, classes[rng.Intn(len(classes))], onDone)
+		if (i+1)%perBurst == 0 || i == b.N-1 {
+			eng.Run()
+		}
+	}
+	if done != b.N {
+		b.Fatalf("%d of %d flows finished", done, b.N)
 	}
 }

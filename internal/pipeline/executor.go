@@ -45,7 +45,10 @@ type Executor struct {
 
 	pos      []int    // index of the first unexecuted op per stage
 	executed [][]bool // per stage, per op index: already run out of order
-	busy     []bool   // stage compute engine in use
+	// running holds each stage's in-flight op and the event that
+	// completes it; a stage runs one op at a time, so one event per stage
+	// serves the whole schedule, and a pending event means a busy stage.
+	running  []stageOp
 	remF     []int    // forwards not yet completed, per stage
 	remB     []int    // backwards not yet completed, per stage
 	fReady   [][]bool // activation for F_{s,i} arrived
@@ -54,6 +57,12 @@ type Executor struct {
 	done     int
 	total    int
 	finished bool
+}
+
+// stageOp is a stage's current op and its completion event.
+type stageOp struct {
+	op Op
+	ev sim.Event
 }
 
 // NewExecutor validates the configuration against the schedule and
@@ -78,7 +87,7 @@ func NewExecutor(eng *sim.Engine, fab *netsim.Fabric, sched *Schedule, cfg ExecC
 		eng: eng, fab: fab, sched: sched, cfg: cfg,
 		pos:      make([]int, p),
 		executed: make([][]bool, p),
-		busy:     make([]bool, p),
+		running:  make([]stageOp, p),
 		remF:     make([]int, p),
 		remB:     make([]int, p),
 		total:    p * 2 * sched.Micro,
@@ -86,6 +95,7 @@ func NewExecutor(eng *sim.Engine, fab *netsim.Fabric, sched *Schedule, cfg ExecC
 	for s := 0; s < p; s++ {
 		e.remF[s] = sched.Micro
 		e.remB[s] = sched.Micro
+		e.running[s].ev.Fn = func() { e.complete(s, e.running[s].op) }
 	}
 	e.fReady = make([][]bool, p)
 	e.bReady = make([][]bool, p)
@@ -135,7 +145,7 @@ func (e *Executor) ready(s int, op Op) bool {
 // holds; forwards are never promoted past pending backwards (that would
 // grow memory toward GPipe's footprint).
 func (e *Executor) tryAdvance(s int) {
-	if e.busy[s] {
+	if e.running[s].ev.Pending() {
 		return
 	}
 	ops := e.sched.Ops[s]
@@ -165,16 +175,15 @@ func (e *Executor) launch(s, idx int, op Op) {
 	if idx == e.pos[s] {
 		e.pos[s]++
 	}
-	e.busy[s] = true
 	dur := e.cfg.ForwardTime[s]
 	if op.Kind == Backward {
 		dur = e.cfg.BackwardTime[s]
 	}
-	e.eng.After(dur, func() { e.complete(s, op) })
+	e.running[s].op = op
+	e.eng.Schedule(&e.running[s].ev, e.eng.Now()+dur)
 }
 
 func (e *Executor) complete(s int, op Op) {
-	e.busy[s] = false
 	p := e.sched.Stages
 	if op.Kind == Forward {
 		e.remF[s]--

@@ -308,3 +308,32 @@ func TestAnalyticIterTimePanicsOnBadInput(t *testing.T) {
 	}()
 	AnalyticIterTime(nil, nil, 0, 4)
 }
+
+// An executor run allocates per stage (its bookkeeping and completion
+// event) and per send (the flow and its arrival callback), never per op:
+// each stage reuses one caller-owned event for all of its ops.
+func TestExecutorAllocsBoundedByStagesAndSends(t *testing.T) {
+	eng, fab, _ := execEnv()
+	const p, m = 4, 32
+	sched := OneFOneB(p, m)
+	cfg := uniformCfg(p, 0.01, 0.02, []int{0, 8, 16, 24})
+	cfg.ActivationBytes = 4e6
+	run := func() {
+		ex, err := NewExecutor(eng, fab, sched, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ex.Start()
+		eng.Run()
+	}
+	run() // grow the engine's queue and the fabric's scratch once
+	const ops, sends = 2 * p * m, 2 * (p - 1) * m
+	// Per stage: four bookkeeping slices and a completion closure, plus
+	// a few fixed slices; per send: a Flow, its event callback and the
+	// arrival closure.
+	const bound = 8*p + 3*sends + 8
+	allocs := testing.AllocsPerRun(10, run)
+	if allocs > bound {
+		t.Fatalf("executor run allocated %v times, bound %d (stages %d, sends %d, ops %d)", allocs, bound, p, sends, ops)
+	}
+}

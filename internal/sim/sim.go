@@ -7,7 +7,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 )
@@ -18,57 +17,48 @@ type Time = float64
 
 // Event is a scheduled callback. Events compare by (At, seq): two events at
 // the same instant fire in scheduling order, which keeps runs deterministic.
+//
+// An Event is either engine-allocated (returned by At and After) or
+// caller-owned: embedded in a longer-lived value and queued with Schedule,
+// then rescheduled after it fires or is cancelled. Caller-owned events let
+// hot producers (netsim flows, pipeline stages) run without allocating per
+// event.
 type Event struct {
-	At    Time
-	Fn    func()
-	seq   uint64
-	index int // heap index; -1 once popped or cancelled
-	dead  bool
+	At  Time
+	Fn  func()
+	seq uint64
+	eng *Engine // set while queued, nil otherwise
+	pos int     // index in eng.pending while queued
 }
 
-// Cancel prevents a pending event from firing. Cancelling an already-fired
-// or already-cancelled event is a no-op.
+// Pending reports whether the event is queued and has not yet fired or
+// been cancelled.
+func (e *Event) Pending() bool { return e != nil && e.eng != nil }
+
+// Cancel removes a pending event from its engine's queue. Cancelling an
+// already-fired or already-cancelled event, or one whose engine has been
+// Reset since it was scheduled, is a no-op.
 func (e *Event) Cancel() {
-	if e != nil {
-		e.dead = true
+	if e == nil || e.eng == nil {
+		return
 	}
+	e.eng.remove(e.pos)
 }
 
-// eventHeap implements container/heap over pending events.
-type eventHeap []*Event
+// less orders events by (At, seq), the engine's total firing order.
+func less(a, b *Event) bool {
+	return a.At < b.At || (a.At == b.At && a.seq < b.seq)
+}
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].At != h[j].At {
-		return h[i].At < h[j].At
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *eventHeap) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*h)
-	*h = append(*h, e)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*h = old[:n-1]
-	return e
-}
+// arity is the heap's fan-out: a 4-ary heap is half as tall as a binary
+// one, and the siblings compared at each level are adjacent in memory.
+const arity = 4
 
 // Engine is a discrete-event simulator. The zero value is not usable; create
 // one with NewEngine.
 type Engine struct {
 	now     Time
-	pending eventHeap
+	pending []*Event // arity-ary min-heap on (At, seq); every entry is live
 	nextSeq uint64
 	fired   uint64
 	running bool
@@ -87,28 +77,13 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) Fired() uint64 { return e.fired }
 
 // Pending reports how many events are scheduled but not yet fired.
-func (e *Engine) Pending() int {
-	n := 0
-	for _, ev := range e.pending {
-		if !ev.dead {
-			n++
-		}
-	}
-	return n
-}
+func (e *Engine) Pending() int { return len(e.pending) }
 
 // At schedules fn to run at absolute virtual time t. Scheduling in the past
 // panics: it would silently reorder causality.
 func (e *Engine) At(t Time, fn func()) *Event {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
-	}
-	if math.IsNaN(t) {
-		panic("sim: scheduling event at NaN time")
-	}
-	ev := &Event{At: t, Fn: fn, seq: e.nextSeq}
-	e.nextSeq++
-	heap.Push(&e.pending, ev)
+	ev := &Event{Fn: fn}
+	e.Schedule(ev, t)
 	return ev
 }
 
@@ -117,20 +92,41 @@ func (e *Engine) After(d float64, fn func()) *Event {
 	return e.At(e.now+d, fn)
 }
 
+// Schedule queues a caller-owned event to run ev.Fn at absolute virtual
+// time t, taking the next sequence number exactly as At does. The event
+// must not be pending: to move a queued event, Cancel it first. Like At,
+// scheduling in the past or at NaN panics.
+func (e *Engine) Schedule(ev *Event, t Time) {
+	if t < e.now {
+		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
+	}
+	if math.IsNaN(t) {
+		panic("sim: scheduling event at NaN time")
+	}
+	if ev.eng != nil {
+		panic("sim: scheduling an event that is already pending")
+	}
+	ev.At = t
+	ev.seq = e.nextSeq
+	e.nextSeq++
+	ev.eng = e
+	ev.pos = len(e.pending)
+	e.pending = append(e.pending, ev)
+	e.up(ev.pos)
+}
+
 // Step fires the next pending event, advancing the clock to its time.
 // It reports whether an event fired.
 func (e *Engine) Step() bool {
-	for len(e.pending) > 0 {
-		ev := heap.Pop(&e.pending).(*Event)
-		if ev.dead {
-			continue
-		}
-		e.now = ev.At
-		e.fired++
-		ev.Fn()
-		return true
+	if len(e.pending) == 0 {
+		return false
 	}
-	return false
+	ev := e.pending[0]
+	e.remove(0)
+	e.now = ev.At
+	e.fired++
+	ev.Fn()
+	return true
 }
 
 // Run fires events until none remain (or Halt is called), returning the
@@ -151,17 +147,7 @@ func (e *Engine) Run() Time {
 // A Halt from inside an event callback stops the loop immediately, leaving
 // the clock where the halting event fired.
 func (e *Engine) RunUntil(deadline Time) Time {
-	for !e.halted && len(e.pending) > 0 {
-		// Peek: pending[0] is the earliest live event only after skipping
-		// dead ones, so pop-and-check like Step does.
-		next := e.pending[0]
-		if next.dead {
-			heap.Pop(&e.pending)
-			continue
-		}
-		if next.At > deadline {
-			break
-		}
+	for !e.halted && len(e.pending) > 0 && e.pending[0].At <= deadline {
 		e.Step()
 	}
 	if !e.halted && e.now < deadline {
@@ -179,11 +165,81 @@ func (e *Engine) Halt() { e.halted = true }
 // Halted reports whether Halt has been called since the last Reset.
 func (e *Engine) Halted() bool { return e.halted }
 
-// Reset returns the engine to time zero with no pending events.
+// Reset returns the engine to time zero with no pending events. Events
+// still queued are detached: they report not pending, and cancelling
+// them is a no-op.
 func (e *Engine) Reset() {
+	for i, ev := range e.pending {
+		ev.eng = nil
+		e.pending[i] = nil
+	}
+	e.pending = e.pending[:0]
 	e.now = 0
-	e.pending = nil
 	e.nextSeq = 0
 	e.fired = 0
 	e.halted = false
+}
+
+// remove takes the event at heap position i out of the queue and detaches
+// it, moving the last entry into the hole and restoring heap order.
+func (e *Engine) remove(i int) {
+	h := e.pending
+	h[i].eng = nil
+	last := len(h) - 1
+	if i != last {
+		h[i] = h[last]
+		h[i].pos = i
+	}
+	h[last] = nil
+	e.pending = h[:last]
+	if i < last && !e.down(i) {
+		e.up(i)
+	}
+}
+
+// up sifts the event at position i toward the root.
+func (e *Engine) up(i int) {
+	h := e.pending
+	ev := h[i]
+	for i > 0 {
+		p := (i - 1) / arity
+		if !less(ev, h[p]) {
+			break
+		}
+		h[i] = h[p]
+		h[i].pos = i
+		i = p
+	}
+	h[i] = ev
+	ev.pos = i
+}
+
+// down sifts the event at position i toward the leaves, reporting whether
+// it moved.
+func (e *Engine) down(i int) bool {
+	h := e.pending
+	n := len(h)
+	ev := h[i]
+	start := i
+	for {
+		c := arity*i + 1
+		if c >= n {
+			break
+		}
+		best := c
+		for k := c + 1; k < c+arity && k < n; k++ {
+			if less(h[k], h[best]) {
+				best = k
+			}
+		}
+		if !less(h[best], ev) {
+			break
+		}
+		h[i] = h[best]
+		h[i].pos = i
+		i = best
+	}
+	h[i] = ev
+	ev.pos = i
+	return i != start
 }
