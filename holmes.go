@@ -132,9 +132,9 @@ type (
 	FleetSchedule = fleet.Schedule
 	// FleetPlacement is one job's slot in a fleet schedule.
 	FleetPlacement = fleet.Placement
-	// FleetManager is the concurrent fleet front end the serve API uses:
-	// submit, poll, and cancel jobs; every observer reads the
-	// deterministic schedule of the live job set.
+	// FleetManager is the in-memory, virtual-time fleet scheduler that
+	// every FleetOperator wraps: submit, poll, and cancel jobs; every
+	// observer reads the deterministic schedule of the live job set.
 	FleetManager = fleet.Manager
 	// FleetOperator is the always-on face of one fleet: a FleetManager
 	// driven by a wall clock and backed by an fsync'd mutation journal,
@@ -151,12 +151,12 @@ type (
 	// wall-clock state (queued / running / done / unplaced).
 	FleetJobStatus = fleet.JobStatus
 	// EventHub is the bounded pub/sub hub behind GET /v1/events: the
-	// operator publishes job transitions, scenario edges, and policy
-	// changes into it strictly after the journal fsync, and slow
+	// operator publishes job transitions, scenario edges, and
+	// retirements into it strictly after the journal fsync, and slow
 	// subscribers are evicted rather than ever blocking a publisher.
 	EventHub = events.Hub
 	// Event is one fact on the hub: a sequenced, wall-stamped job /
-	// scenario / policy / retire occurrence.
+	// scenario / retire occurrence.
 	Event = events.Event
 	// EventSubscriber is one bounded subscription to an EventHub.
 	EventSubscriber = events.Subscriber
@@ -337,7 +337,7 @@ func LoadFleetTrace(path string) (*FleetTrace, error) {
 	return tr, nil
 }
 
-// NewFleetManager builds the concurrent fleet front end over one shared
+// NewFleetManager builds the in-memory fleet scheduler over one shared
 // topology (nil engine = the shared default) — submit/poll/cancel from
 // any number of goroutines, deterministic schedule at every instant.
 func NewFleetManager(eng *Engine, topo *Topology) (*FleetManager, error) {

@@ -71,13 +71,6 @@ type Server struct {
 	dashboardEnabled bool
 }
 
-// NewServer returns a single-shard server on the given engine (nil = the
-// shared default engine) — the pre-sharding constructor, kept for
-// embedders that manage their own engine.
-func NewServer(eng *engine.Engine) *Server {
-	return NewServerPool(serve.FromEngine(eng))
-}
-
 // NewServerPool returns a server on an explicit shard pool (nil = one
 // default pool), the constructor cmd/holmes-serve uses.
 func NewServerPool(p *serve.Pool) *Server {
@@ -88,9 +81,6 @@ func NewServerPool(p *serve.Pool) *Server {
 	s.fleets.init()
 	return s
 }
-
-// Pool exposes the server's shard pool (observability and tests).
-func (s *Server) Pool() *serve.Pool { return s.pool }
 
 // Events exposes the live event hub (operators publish into it; the
 // shutdown path closes it to release every streaming client).
@@ -180,9 +170,6 @@ func (s *Server) handleDashboardAsset(w http.ResponseWriter, r *http.Request) {
 // routes) keep working. The graceful-shutdown path of cmd/holmes-serve
 // sets it just before http.Server.Shutdown.
 func (s *Server) SetDraining(on bool) { s.draining.Store(on) }
-
-// Draining reports whether drain mode is on.
-func (s *Server) Draining() bool { return s.draining.Load() }
 
 // Endpoint names as they appear in /v1/stats.
 const (

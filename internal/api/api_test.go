@@ -10,12 +10,12 @@ import (
 	"sync"
 	"testing"
 
-	"holmes/internal/engine"
+	"holmes/internal/serve"
 )
 
 func newTestServer(t *testing.T) *httptest.Server {
 	t.Helper()
-	srv := httptest.NewServer(NewServer(engine.New(engine.Config{})).Handler())
+	srv := httptest.NewServer(NewServerPool(serve.New(serve.Config{})).Handler())
 	t.Cleanup(srv.Close)
 	return srv
 }

@@ -342,7 +342,7 @@ func TestJobsDeterminismSoak(t *testing.T) {
 // journal directory applies to in-memory fleets, so a bare submit (no
 // per-request policy) schedules under it.
 func TestJobsInMemoryFleetPolicy(t *testing.T) {
-	s := NewServer(engine.New(engine.Config{}))
+	s := NewServerPool(serve.New(serve.Config{}))
 	if _, err := s.EnableOperator(OperatorMode{Policy: "edf"}); err != nil {
 		t.Fatal(err)
 	}
@@ -373,7 +373,7 @@ func TestJobsInMemoryFleetPolicy(t *testing.T) {
 // one fleet. Requests go straight to the handler, so the loop runs
 // hot enough to hit the narrow drop window.
 func TestJobsInMemoryDropRace(t *testing.T) {
-	s := NewServer(engine.New(engine.Config{}))
+	s := NewServerPool(serve.New(serve.Config{}))
 	h := s.Handler()
 	serveJob := func(method, path, body string) (int, string) {
 		rec := httptest.NewRecorder()

@@ -148,14 +148,6 @@ func (s *Server) CloseOperators() error {
 	return s.eachOperator((*fleet.Operator).Close)
 }
 
-// AbortOperators drops every operator cold — journals close, but
-// nothing retires and no snapshot is cut — leaving exactly the state a
-// kill -9 leaves. The crash-recovery tests (and fast non-graceful
-// teardowns) use it; production shutdown wants CloseOperators.
-func (s *Server) AbortOperators() error {
-	return s.eachOperator((*fleet.Operator).Abort)
-}
-
 // eachOperator runs fn on every operator and returns the first error.
 func (s *Server) eachOperator(fn func(*fleet.Operator) error) error {
 	_, ops := s.operators()
@@ -171,11 +163,10 @@ func (s *Server) eachOperator(fn func(*fleet.Operator) error) error {
 // operatorFor resolves (or creates, when room allows) the operator
 // owning the given fleet. Caller passes the validated topology
 // fingerprint. The requested policy applies to fresh fleets and must
-// match on existing ones (409 otherwise): a fleet has exactly one
-// policy at a time, switching it is an operator action, not a
-// side effect of a submit. Fresh fleets are journaled only when the
-// registry is; in-memory fleets get no event hub, so /v1/events stays
-// silent for them.
+// match on existing ones (409 otherwise): a fleet's policy is fixed
+// when it is created, never switched by a submit. Fresh fleets are
+// journaled only when the registry is; in-memory fleets get no event
+// hub, so /v1/events stays silent for them.
 func (s *Server) operatorFor(fp string, spec fleet.Spec, policy string) (*fleet.Operator, error) {
 	fr := &s.fleets
 	fr.mu.Lock()

@@ -16,6 +16,13 @@ import (
 	"holmes/internal/serve"
 )
 
+// AbortOperators drops every operator cold — journals close, but
+// nothing retires and no snapshot is cut — leaving exactly the state a
+// kill -9 leaves.
+func (s *Server) AbortOperators() error {
+	return s.eachOperator((*fleet.Operator).Abort)
+}
+
 // newOperatorServer builds an operator-mode test server over dir driven
 // by a fake clock, sharing one pool across restarts of the same dir.
 func newOperatorServer(t *testing.T, pool *serve.Pool, dir string, clock fleet.Clock) (*Server, *httptest.Server) {

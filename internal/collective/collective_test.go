@@ -132,51 +132,11 @@ func TestConcurrentRingsContend(t *testing.T) {
 	}
 }
 
-func TestBroadcastCheaperThanAllReduce(t *testing.T) {
-	topo := topology.IBEnv(4)
-	_, fab := fabric(topo)
-	g := groupOfNodeLeads(topo, 4)
-	bc := CostBroadcast(fab, g, 1e9, netsim.RDMA)
-	ar := CostAllReduce(fab, g, 1e9, netsim.RDMA)
-	if bc >= ar {
-		t.Fatalf("broadcast %v should beat all-reduce %v", bc, ar)
-	}
-}
-
-func TestSendRecvCost(t *testing.T) {
-	topo := topology.HybridEnv(4)
-	_, fab := fabric(topo)
-	// Cross-cluster P2P is the pipeline-parallel pattern; it must run at
-	// Ethernet speed.
-	got := CostSendRecv(fab, 0, 16, 1e8, netsim.Ether)
-	ethBW := fab.PairBandwidth(0, 16, netsim.Ether)
-	want := fab.Latency(0, 16, netsim.Ether) + 1e8/ethBW
-	if math.Abs(got-want) > 1e-9 {
-		t.Fatalf("p2p cost = %v, want %v", got, want)
-	}
-}
-
-func TestCostDispatch(t *testing.T) {
-	topo := topology.IBEnv(2)
-	_, fab := fabric(topo)
-	g := []int{0, 8}
-	for _, op := range []Op{AllReduce, ReduceScatter, AllGather, Broadcast} {
-		if c := Cost(fab, op, g, 1e6, netsim.RDMA); c <= 0 {
-			t.Fatalf("%v cost = %v", op, c)
-		}
-	}
-	if c := Cost(fab, SendRecv, g, 1e6, netsim.Ether); c <= 0 {
-		t.Fatal("send-recv cost must be positive")
-	}
-}
-
 func TestValidationPanics(t *testing.T) {
-	topo := topology.IBEnv(1)
-	_, fab := fabric(topo)
-	for name, fn := range map[string]func(){
-		"empty":     func() { CostAllReduce(fab, nil, 1, netsim.RDMA) },
-		"duplicate": func() { CostAllReduce(fab, []int{1, 1}, 1, netsim.RDMA) },
-		"sendrecv":  func() { Cost(fab, SendRecv, []int{0, 1, 2}, 1, netsim.Ether) },
+	eng, fab := fabric(topology.IBEnv(1))
+	for name, ranks := range map[string][]int{
+		"empty":     nil,
+		"duplicate": {1, 1},
 	} {
 		func() {
 			defer func() {
@@ -184,37 +144,24 @@ func TestValidationPanics(t *testing.T) {
 					t.Fatalf("%s group did not panic", name)
 				}
 			}()
-			fn()
+			RunRingFluid(eng, fab, ranks, 1, netsim.RDMA, func() {})
 		}()
-	}
-}
-
-func TestOpStrings(t *testing.T) {
-	want := map[Op]string{
-		AllReduce:     "all-reduce",
-		ReduceScatter: "reduce-scatter",
-		AllGather:     "all-gather",
-		Broadcast:     "broadcast",
-		SendRecv:      "send-recv",
-	}
-	for op, s := range want {
-		if op.String() != s {
-			t.Fatalf("%d.String() = %q, want %q", int(op), op.String(), s)
-		}
 	}
 }
 
 func TestRingKeepsNodeNeighborsAdjacent(t *testing.T) {
 	// An unsorted group must still form a rank-ordered ring so intra-node
-	// pairs ride NVLink: cost with shuffled input equals cost with sorted
-	// input.
+	// pairs ride NVLink: a shuffled group finishes exactly when the sorted
+	// one does.
 	topo := topology.IBEnv(2)
-	_, fab := fabric(topo)
-	sorted := []int{0, 1, 8, 9}
-	shuffled := []int{9, 0, 8, 1}
-	a := CostAllReduce(fab, sorted, 1e9, netsim.RDMA)
-	b := CostAllReduce(fab, shuffled, 1e9, netsim.RDMA)
-	if a != b {
+	run := func(ranks []int) sim.Time {
+		eng, fab := fabric(topo)
+		var end sim.Time
+		RunRingFluid(eng, fab, ranks, 1e9, netsim.RDMA, func() { end = eng.Now() })
+		eng.Run()
+		return end
+	}
+	if a, b := run([]int{0, 1, 8, 9}), run([]int{9, 0, 8, 1}); a != b {
 		t.Fatalf("ring must canonicalize order: %v vs %v", a, b)
 	}
 }

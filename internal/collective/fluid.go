@@ -7,8 +7,8 @@ import (
 
 // Fluid collective execution.
 //
-// The stepped Run* functions model every ring round as a synchronized
-// barrier of flows — faithful, but O(n·rounds) flows per collective, which
+// A stepped ring models every ring round as a synchronized barrier of
+// flows — faithful, but O(n·rounds) flows per collective, which
 // is too heavy inside a full training-iteration simulation where dozens of
 // collectives overlap a pipeline schedule. The fluid variants collapse a
 // ring collective into one flow per directed ring edge carrying the
@@ -34,17 +34,6 @@ func RunRingFluid(eng *sim.Engine, fab *netsim.Fabric, ranks []int, perEdgeBytes
 		fab.StartFlow(src, dst, perEdgeBytes, class, wg.Done)
 	}
 	wg.OnZero(onDone)
-}
-
-// RunAllReduceFluid executes a ring all-reduce of a `bytes` payload: each
-// edge carries 2(n−1)/n · bytes in total.
-func RunAllReduceFluid(eng *sim.Engine, fab *netsim.Fabric, ranks []int, bytes float64, class netsim.Class, onDone func()) {
-	n := len(ranks)
-	per := 0.0
-	if n > 1 {
-		per = 2 * float64(n-1) / float64(n) * bytes
-	}
-	RunRingFluid(eng, fab, ranks, per, class, onDone)
 }
 
 // RunReduceScatterFluid executes the reduce-scatter half: (n−1)/n · bytes

@@ -9,6 +9,17 @@ import (
 	"holmes/internal/topology"
 )
 
+// RunAllReduceFluid executes a ring all-reduce of a `bytes` payload: each
+// edge carries 2(n−1)/n · bytes in total.
+func RunAllReduceFluid(eng *sim.Engine, fab *netsim.Fabric, ranks []int, bytes float64, class netsim.Class, onDone func()) {
+	n := len(ranks)
+	per := 0.0
+	if n > 1 {
+		per = 2 * float64(n-1) / float64(n) * bytes
+	}
+	RunRingFluid(eng, fab, ranks, per, class, onDone)
+}
+
 func TestFluidMatchesSteppedLoneAllReduce(t *testing.T) {
 	// With no competing traffic, the fluid all-reduce and the stepped
 	// all-reduce should agree closely: the fluid model removes only the

@@ -164,52 +164,3 @@ func sameCluster(topo *topology.Topology, ranks []int) bool {
 	}
 	return true
 }
-
-// M1Boundary implements the paper's cluster numbering convention: clusters
-// are ordered so that IB clusters come first; M1 is the count of IB
-// clusters, and a DP group selects IB iff its cluster index < M1. It
-// verifies the topology obeys the ordering and returns M1.
-func M1Boundary(topo *topology.Topology) (int, error) {
-	m1 := 0
-	seenNonIB := false
-	for _, c := range topo.Clusters {
-		if c.NICType == topology.InfiniBand {
-			if seenNonIB {
-				return 0, fmt.Errorf("comm: clusters not ordered IB-first (cluster %d is IB after non-IB)", c.Index)
-			}
-			m1++
-		} else {
-			seenNonIB = true
-		}
-	}
-	return m1, nil
-}
-
-// Validate checks the §3.2 postconditions of an auto-selected world:
-// DP groups on RDMA wherever their cluster provides it, cross-cluster PP
-// on Ethernet, TP within nodes.
-func (w *World) Validate() error {
-	for _, g := range w.TPGroups {
-		if g.CrossNode {
-			return fmt.Errorf("comm: tensor group %d crosses nodes", g.Index)
-		}
-	}
-	if w.Selection != AutoSelection {
-		return nil
-	}
-	for _, g := range w.DPGroups {
-		if !g.CrossNode {
-			continue
-		}
-		clusterNIC := w.Topo.NodeOf(g.Ranks[0]).RDMAType()
-		if sameCluster(w.Topo, g.Ranks) && clusterNIC.IsRDMA() && g.NIC != clusterNIC {
-			return fmt.Errorf("comm: data group %d in %v cluster got %v", g.Index, clusterNIC, g.NIC)
-		}
-	}
-	for _, g := range w.PPGroups {
-		if g.CrossNode && !sameCluster(w.Topo, g.Ranks) && g.NIC != topology.Ethernet {
-			return fmt.Errorf("comm: cross-cluster pipeline group %d got %v", g.Index, g.NIC)
-		}
-	}
-	return nil
-}

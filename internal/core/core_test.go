@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -9,6 +10,15 @@ import (
 	"holmes/internal/topology"
 	"holmes/internal/trainer"
 )
+
+// Speedup computes relative throughput of this plan against a baseline
+// plan (≥ 1 means this plan is faster).
+func (p *Plan) Speedup(baseline *Plan) float64 {
+	if baseline == nil || baseline.Report.Throughput == 0 {
+		return math.NaN()
+	}
+	return p.Report.Throughput / baseline.Report.Throughput
+}
 
 func planner(t *testing.T, topo *topology.Topology, group int) *Planner {
 	t.Helper()

@@ -47,7 +47,7 @@ function connectEvents() {
   };
   es.onopen = () => set("live", "events: live");
   es.onerror = () => set("down", "events: reconnecting");
-  for (const kind of ["job", "scenario", "policy", "retire", "eof"]) {
+  for (const kind of ["job", "scenario", "retire", "eof"]) {
     es.addEventListener(kind, (msg) => {
       let ev;
       try { ev = JSON.parse(msg.data); } catch { ev = { kind }; }
@@ -341,11 +341,8 @@ function renderJobsTable() {
 function describe(ev) {
   switch (ev.kind) {
     case "job": return `${ev.job} → ${ev.state}`;
-    case "policy": return `policy → ${ev.policy}`;
     case "retire": return `retired ${(ev.jobs || []).length} job(s): ${(ev.jobs || []).join(", ")}`;
     case "scenario":
-      if (ev.state === "replaced") return `timeline replaced (${ev.scenario || "unnamed"})`;
-      if (ev.state === "cleared") return "timeline cleared";
       return `${ev.state} ${ev.payload ? ev.payload.kind : ""}` +
         (ev.payload && ev.payload.node != null ? ` on node ${ev.payload.node}` : "");
     case "eof": return "stream closed by server";

@@ -7,10 +7,10 @@
 // sequence number under the hub lock and fans the event out with
 // non-blocking sends into each subscriber's bounded channel; a
 // subscriber whose buffer is full is evicted on the spot (its channel
-// closed, its Dropped flag set) rather than ever back-pressuring the
-// publisher. That single rule gives the two properties the operator
-// loop needs: publishing never blocks, and there is no relay goroutine
-// to leak when a client goes away.
+// closed, the hub's dropped count bumped) rather than ever
+// back-pressuring the publisher. That single rule gives the two
+// properties the operator loop needs: publishing never blocks, and
+// there is no relay goroutine to leak when a client goes away.
 package events
 
 import "sync"
@@ -24,12 +24,9 @@ const (
 	// transition is effective on the fleet's wall clock.
 	KindJob = "job"
 	// KindScenario is scenario activity: a timeline edge firing
-	// (State "fired", At = the edge's stamp), a live fault applied
-	// (State "applied"), or the whole timeline replaced or cleared
-	// (State "replaced" / "cleared").
+	// (State "fired", At = the edge's stamp) or a live fault applied
+	// (State "applied").
 	KindScenario = "scenario"
-	// KindPolicy is a scheduling-policy change on a fleet.
-	KindPolicy = "policy"
 	// KindRetire is the idle-barrier retirement of a batch of finished
 	// jobs; Jobs lists the retired IDs in the journal's sorted order.
 	KindRetire = "retire"
@@ -56,10 +53,6 @@ type Event struct {
 	// Job and State describe KindJob transitions.
 	Job   string `json:"job,omitempty"`
 	State string `json:"state,omitempty"`
-	// Policy names the new policy on KindPolicy events.
-	Policy string `json:"policy,omitempty"`
-	// Scenario names the timeline on KindScenario replace events.
-	Scenario string `json:"scenario,omitempty"`
 	// Payload carries the scenario event for KindScenario, as the
 	// wire-shaped map the API already speaks. Kept schemaless here so
 	// the events package stays import-light.
@@ -134,7 +127,6 @@ func (h *Hub) Publish(ev Event) {
 			// Slow consumer: cut it loose rather than stall the
 			// publisher (the operator loop may be on the other end).
 			delete(h.subs, s)
-			s.dropped = true
 			close(s.ch)
 			h.dropped++
 		}
@@ -185,9 +177,8 @@ func (h *Hub) Stats() HubStats {
 // Subscriber is one registered consumer. Read Events until it closes;
 // call Close when done (idempotent, also safe after eviction).
 type Subscriber struct {
-	hub     *Hub
-	ch      chan Event
-	dropped bool // guarded by hub.mu
+	hub *Hub
+	ch  chan Event
 }
 
 // Events is the subscriber's delivery channel. It closes when the
@@ -208,12 +199,4 @@ func (s *Subscriber) Close() {
 	}
 	delete(h.subs, s)
 	close(s.ch)
-}
-
-// Dropped reports whether the subscriber was evicted for falling
-// behind (as opposed to closing itself or the hub shutting down).
-func (s *Subscriber) Dropped() bool {
-	s.hub.mu.Lock()
-	defer s.hub.mu.Unlock()
-	return s.dropped
 }

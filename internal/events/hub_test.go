@@ -36,9 +36,6 @@ func TestHubEvictsSlowConsumer(t *testing.T) {
 		h.Publish(Event{Kind: KindJob})
 	}
 
-	if !slow.Dropped() {
-		t.Fatal("slow subscriber not marked dropped")
-	}
 	// slow's channel: two buffered events, then closed.
 	n := 0
 	for range slow.Events() {
@@ -55,9 +52,6 @@ func TestHubEvictsSlowConsumer(t *testing.T) {
 	st := h.Stats()
 	if st.Subscribers != 1 || st.Dropped != 1 {
 		t.Fatalf("stats after eviction = %+v", st)
-	}
-	if fast.Dropped() {
-		t.Fatal("fast subscriber wrongly marked dropped")
 	}
 }
 
@@ -108,17 +102,17 @@ func TestHubConcurrentPublishSubscribeClose(t *testing.T) {
 func TestHubCloseUnblocksSubscribers(t *testing.T) {
 	h := NewHub()
 	sub := h.Subscribe(4)
-	h.Publish(Event{Kind: KindPolicy, Policy: "priority"})
+	h.Publish(Event{Kind: KindJob, Job: "w1"})
 	h.Close()
 	h.Close() // idempotent
 	ev, ok := <-sub.Events()
-	if !ok || ev.Policy != "priority" {
+	if !ok || ev.Job != "w1" {
 		t.Fatalf("buffered event lost on close: %+v ok=%v", ev, ok)
 	}
 	if _, ok := <-sub.Events(); ok {
 		t.Fatal("channel still open after hub close")
 	}
-	if sub.Dropped() {
+	if st := h.Stats(); st.Dropped != 0 {
 		t.Fatal("hub close must not count as a slow-consumer drop")
 	}
 	// Publishing and subscribing after close are harmless no-ops.

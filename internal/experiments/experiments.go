@@ -65,9 +65,6 @@ func NewSuite(eng *engine.Engine) Suite {
 	return Suite{eng: eng}
 }
 
-// Engine exposes the suite's engine (observability: cache stats).
-func (s Suite) Engine() *engine.Engine { return s.eng }
-
 // PipelineSize returns the pipeline-parallel degree used for a parameter
 // group at a node count: Table 2 pins p=2 for the 3.6B groups and p=3 for
 // the 7.5B groups; where 3 does not divide the device count (4 and 8
@@ -440,19 +437,6 @@ func (s Suite) Scenarios() ([]Row, error) {
 		}
 	}
 	return s.runCells(cells)
-}
-
-// All runs every experiment, keyed by experiment id in paper order.
-func (s Suite) All() (map[string][]Row, error) {
-	out := make(map[string][]Row)
-	for _, id := range Names {
-		rows, err := s.Run(id)
-		if err != nil {
-			return nil, err
-		}
-		out[id] = rows
-	}
-	return out, nil
 }
 
 // FleetJobs are the contending jobs of the fleet grid: the four Table-2

@@ -13,7 +13,7 @@ import (
 
 // Durable fleet state. The operator journals *mutations*, not
 // schedules: every schedule is a deterministic replay of the live job
-// set, so persisting the inputs (submit/cancel/event/policy records)
+// set, so persisting the inputs (create/submit/cancel/event records)
 // is both smaller and stronger than persisting any derived placement —
 // a recovered process re-derives bit-identical schedules by
 // construction (DESIGN.md decision 13). The journal is an fsync'd
@@ -27,19 +27,17 @@ import (
 // Journal record kinds. Unknown kinds are rejected on recovery: a
 // journal written by a newer build is not safe to half-understand.
 const (
-	RecCreate      = "create"       // fleet born: carries Spec and policy
-	RecSubmit      = "submit"       // one job admitted (Submit already stamped)
-	RecCancel      = "cancel"       // one job cancelled by ID
-	RecApplyEvent  = "apply_event"  // one scenario event appended
-	RecSetScenario = "set_scenario" // timeline replaced (nil clears)
-	RecSetPolicy   = "set_policy"   // scheduling policy switched
-	RecRetire      = "retire"       // completed jobs retired at an idle barrier
+	RecCreate     = "create"      // fleet born: carries Spec and policy
+	RecSubmit     = "submit"      // one job admitted (Submit already stamped)
+	RecCancel     = "cancel"      // one job cancelled by ID
+	RecApplyEvent = "apply_event" // one scenario event appended
+	RecRetire     = "retire"      // completed jobs retired at an idle barrier
 )
 
 // journalKinds is the closed set a decoder accepts.
 var journalKinds = map[string]bool{
 	RecCreate: true, RecSubmit: true, RecCancel: true, RecApplyEvent: true,
-	RecSetScenario: true, RecSetPolicy: true, RecRetire: true,
+	RecRetire: true,
 }
 
 // Record is one journal line: a sequence number, the operator wall
@@ -59,10 +57,7 @@ type Record struct {
 	IDs []string `json:"ids,omitempty"`
 	// Event is the appended event; RecApplyEvent only.
 	Event *scenario.Event `json:"event,omitempty"`
-	// Scenario is the replacement timeline; RecSetScenario only (nil =
-	// cleared).
-	Scenario *scenario.Scenario `json:"scenario,omitempty"`
-	// Policy is the policy name; RecCreate and RecSetPolicy.
+	// Policy is the policy name; RecCreate only.
 	Policy string `json:"policy,omitempty"`
 }
 

@@ -129,14 +129,23 @@ func TestJournalUnterminatedFinalRecordDropped(t *testing.T) {
 	}
 }
 
+// TestJournalUnknownKindRejected: a kind this build does not write,
+// whether never defined or cut (set_scenario, set_policy), fails
+// recovery loudly instead of being skipped.
 func TestJournalUnknownKindRejected(t *testing.T) {
-	path := journalAt(t)
-	line := `{"seq":1,"at":0,"kind":"warp_core_breach"}` + "\n" + `{"seq":2,"at":1,"kind":"cancel","id":"a"}` + "\n"
-	if err := os.WriteFile(path, []byte(line), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := OpenJournal(path); err == nil || !strings.Contains(err.Error(), "unknown kind") {
-		t.Fatalf("unknown kind must reject recovery, got %v", err)
+	for _, rec := range []string{
+		`{"seq":1,"at":0,"kind":"warp_core_breach"}`,
+		`{"seq":1,"at":0,"kind":"set_scenario"}`,
+		`{"seq":1,"at":0,"kind":"set_policy","policy":"edf"}`,
+	} {
+		path := journalAt(t)
+		line := rec + "\n" + `{"seq":2,"at":1,"kind":"cancel","id":"a"}` + "\n"
+		if err := os.WriteFile(path, []byte(line), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := OpenJournal(path); err == nil || !strings.Contains(err.Error(), "unknown kind") {
+			t.Fatalf("%s: unknown kind must reject recovery, got %v", rec, err)
+		}
 	}
 }
 

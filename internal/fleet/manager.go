@@ -30,10 +30,10 @@ const MaxJobs = 64
 // submit time of an added or cancelled job, the timestamp of a scenario
 // event). The next Schedule call resumes from the newest surviving
 // checkpoint instead of replaying from virtual time zero.
-// SetFullRecompute(true) disables the checkpoint path entirely — the
-// from-scratch replay is the differential oracle the incremental path is
-// tested against, and by construction both produce bit-identical
-// schedules.
+// The fullRecompute flag (set only by the package tests) disables the
+// checkpoint path entirely — the from-scratch replay is the differential
+// oracle the incremental path is tested against, and by construction
+// both produce bit-identical schedules.
 type Manager struct {
 	sch *Scheduler
 
@@ -89,21 +89,6 @@ func (m *Manager) Policy() string {
 		return DefaultPolicy
 	}
 	return m.policy
-}
-
-// SetFullRecompute toggles the from-scratch oracle: when on, every
-// Schedule call replays the whole trace from virtual time zero and no
-// checkpoints are kept. The differential tests run one manager in each
-// mode and assert bit-identical schedules.
-func (m *Manager) SetFullRecompute(on bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.fullRecompute == on {
-		return
-	}
-	m.fullRecompute = on
-	m.rec.reset()
-	m.cached = nil
 }
 
 // invalidateFrom records that a mutation's earliest observable effect is

@@ -7,6 +7,21 @@ import (
 	"holmes/internal/scenario"
 )
 
+// SetFullRecompute toggles the from-scratch oracle: when on, every
+// Schedule call replays the whole trace from virtual time zero and no
+// checkpoints are kept. The differential tests run one manager in each
+// mode and assert bit-identical schedules.
+func (m *Manager) SetFullRecompute(on bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.fullRecompute == on {
+		return
+	}
+	m.fullRecompute = on
+	m.rec.reset()
+	m.cached = nil
+}
+
 // TestSetScenarioAliasingDoesNotDesync is the regression test for the
 // timeline-aliasing bug: SetScenario used to store the caller's
 // *scenario.Scenario, so a caller mutating sc.Events after the call was

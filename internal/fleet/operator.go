@@ -11,7 +11,6 @@ import (
 	"holmes/internal/engine"
 	"holmes/internal/events"
 	"holmes/internal/scenario"
-	"holmes/internal/topology"
 )
 
 // Operator is the always-on face of one fleet: a Manager driven by a
@@ -47,11 +46,11 @@ type Operator struct {
 	clock Clock
 	j     *Journal // nil = in memory
 
-	mu       sync.Mutex
-	spec     Spec
-	snapPath string
-	base     float64 // operator wall instant at construction (recovery resumes here)
-	epoch    float64 // clock reading at construction
+	mu        sync.Mutex
+	spec      Spec
+	snapPath  string
+	base      float64 // operator wall instant at construction (recovery resumes here)
+	epoch     float64 // clock reading at construction
 	done      map[string]Placement
 	doneIDs   []string // retirement order, for stable snapshots
 	sinceSnp  int      // journal records since the last snapshot
@@ -91,9 +90,9 @@ type OperatorConfig struct {
 	// this many records (default 64; retirement always snapshots).
 	SnapshotEvery int
 	// Events, when set, receives the operator's live event stream: job
-	// transitions, scenario edges, policy changes, retirements. Every
-	// event is published strictly after the journal record that made
-	// the change durable, so the stream can never show a state a crash
+	// transitions, scenario edges, retirements. Every event is
+	// published strictly after the journal record that made the change
+	// durable, so the stream can never show a state a crash
 	// would un-happen. Recovery replay publishes nothing — the stream
 	// carries only what changes after the hub is attached.
 	Events *events.Hub
@@ -301,10 +300,6 @@ func (o *Operator) applyRecord(rec Record) error {
 			return fmt.Errorf("apply_event record without an event")
 		}
 		return o.m.ApplyEvent(*rec.Event)
-	case RecSetScenario:
-		return o.m.SetScenario(rec.Scenario)
-	case RecSetPolicy:
-		return o.m.SetPolicy(rec.Policy)
 	case RecRetire:
 		return o.retireIDs(rec.IDs)
 	default:
@@ -350,9 +345,6 @@ func (o *Operator) Now() float64 {
 	defer o.mu.Unlock()
 	return o.now()
 }
-
-// Topology exposes the fleet topology.
-func (o *Operator) Topology() *topology.Topology { return o.m.Topology() }
 
 // Policy reports the live scheduling policy.
 func (o *Operator) Policy() string { return o.m.Policy() }
@@ -535,52 +527,6 @@ func (o *Operator) ApplyEvent(ev scenario.Event) error {
 	if o.events != nil {
 		o.publish(events.Event{At: at, Kind: events.KindScenario, State: "applied", Payload: ev, JournalSeq: seq})
 		o.publishLocked()
-	}
-	o.kick()
-	return nil
-}
-
-// SetScenario replaces the fleet timeline (nil clears it).
-func (o *Operator) SetScenario(sc *scenario.Scenario) error {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	prev := o.m.Scenario()
-	if err := o.m.SetScenario(sc); err != nil {
-		return err
-	}
-	at := o.now()
-	seq, err := o.journalApplied(Record{At: at, Kind: RecSetScenario, Scenario: sc.Clone()}, func() { _ = o.m.SetScenario(prev) })
-	if err != nil {
-		return err
-	}
-	if o.events != nil {
-		ev := events.Event{At: at, Kind: events.KindScenario, State: "cleared", JournalSeq: seq}
-		if sc != nil {
-			ev.State, ev.Scenario = "replaced", sc.Name
-		}
-		o.publish(ev)
-		o.publishLocked()
-	}
-	o.kick()
-	return nil
-}
-
-// SetPolicy switches the scheduling policy.
-func (o *Operator) SetPolicy(name string) error {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	prev := o.m.Policy()
-	if err := o.m.SetPolicy(name); err != nil {
-		return err
-	}
-	at := o.now()
-	seq, err := o.journalApplied(Record{At: at, Kind: RecSetPolicy, Policy: name}, func() { _ = o.m.SetPolicy(prev) })
-	if err != nil {
-		return err
-	}
-	if o.events != nil {
-		o.publish(events.Event{At: at, Kind: events.KindPolicy, Policy: name, JournalSeq: seq})
-		o.publishLocked() // a policy switch replans every live job
 	}
 	o.kick()
 	return nil
@@ -799,17 +745,18 @@ func (o *Operator) snapshotLocked() error {
 	if o.j == nil {
 		return nil
 	}
+	tr := o.m.snapshotTrace()
 	snap := FleetSnapshot{
 		Seq:      o.j.Seq(),
 		Now:      o.now(),
 		Fleet:    o.spec,
-		Policy:   o.m.Policy(),
+		Policy:   tr.Policy,
+		Jobs:     tr.Jobs,
 		Scenario: o.m.Scenario(),
 	}
 	for _, id := range o.doneIDs {
 		snap.Done = append(snap.Done, o.done[id])
 	}
-	snap.Jobs = o.m.liveJobs()
 	doc, err := EncodeFleetSnapshot(snap)
 	if err != nil {
 		return err
@@ -822,13 +769,6 @@ func (o *Operator) snapshotLocked() error {
 	}
 	o.sinceSnp = 0
 	return nil
-}
-
-// Snapshot forces a snapshot now (the loop also cuts them on its own).
-func (o *Operator) Snapshot() error {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.snapshotLocked()
 }
 
 // stopLoop stops the event loop exactly once; Close and Abort share it
@@ -875,20 +815,12 @@ func (m *Manager) jobByID(id string) (Job, bool) {
 	return j, ok
 }
 
-// liveJobs lists the live set sorted by (submit, id) — the canonical
-// trace order, giving snapshots stable bytes.
-func (m *Manager) liveJobs() []Job {
+// snapshotTrace returns the canonical trace: the live set sorted by
+// (submit, id), giving snapshots stable bytes, and the policy as the
+// fleet was created with it ("" stays "", so a fleet recovered from a
+// snapshot schedules byte-identically to its unkilled twin).
+func (m *Manager) snapshotTrace() *Trace {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	jobs := make([]Job, 0, len(m.jobs))
-	for _, j := range m.jobs {
-		jobs = append(jobs, j)
-	}
-	sort.Slice(jobs, func(a, b int) bool {
-		if jobs[a].Submit != jobs[b].Submit {
-			return jobs[a].Submit < jobs[b].Submit
-		}
-		return jobs[a].ID < jobs[b].ID
-	})
-	return jobs
+	return m.trace()
 }

@@ -146,12 +146,10 @@ func TestOperatorEventStreamMatchesJournal(t *testing.T) {
 		t.Fatalf("stream carries %d journal-backed events, journal has %d mutation records", len(stream), len(muts))
 	}
 	wantKind := map[string]string{
-		RecSubmit:      events.KindJob,
-		RecCancel:      events.KindJob,
-		RecApplyEvent:  events.KindScenario,
-		RecSetScenario: events.KindScenario,
-		RecSetPolicy:   events.KindPolicy,
-		RecRetire:      events.KindRetire,
+		RecSubmit:     events.KindJob,
+		RecCancel:     events.KindJob,
+		RecApplyEvent: events.KindScenario,
+		RecRetire:     events.KindRetire,
 	}
 	for i, rec := range muts {
 		ev := stream[i]
@@ -218,8 +216,8 @@ func TestOperatorHasRetireRace(t *testing.T) {
 	for i := 0; i < cycles; i++ {
 		must(t, op.Submit(Job{ID: ids[i], GPUs: 8, Iterations: 1, Model: pg1()}))
 		submitted.Store(int32(i + 1))
-		clock.Advance(2000)       // past the finish edge
-		for op.Len() > 0 {        // idle barrier: this tick retires
+		clock.Advance(2000) // past the finish edge
+		for op.Len() > 0 {  // idle barrier: this tick retires
 			op.tick()
 		}
 	}

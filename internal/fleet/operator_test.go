@@ -68,6 +68,13 @@ func testOp(t *testing.T, eng *engine.Engine, dir string, clock Clock, every int
 	return op
 }
 
+// Snapshot forces a snapshot now (the loop also cuts them on its own).
+func (o *Operator) Snapshot() error {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return o.snapshotLocked()
+}
+
 // at advances the operator's fake clock so op.Now() lands exactly on t
 // (script times are small integers, so the float arithmetic is exact).
 func at(op *Operator, c *FakeClock, t float64) { c.Advance(t - op.Now()) }
@@ -145,9 +152,14 @@ func TestOperatorLifecycle(t *testing.T) {
 func opScript(t *testing.T, op *Operator, clock *FakeClock, from, to int) {
 	t.Helper()
 	steps := []func(){
-		func() { at(op, clock, 1); must(t, op.Submit(Job{ID: "w1", GPUs: 16, Iterations: 3, Model: pg1(), Tenant: "t1"})) },
-		func() { at(op, clock, 2); must(t, op.Submit(Job{ID: "w2", GPUs: 16, Iterations: 3, Model: pg1(), Priority: 1})) },
-		func() { at(op, clock, 3); must(t, op.SetPolicy("priority")) },
+		func() {
+			at(op, clock, 1)
+			must(t, op.Submit(Job{ID: "w1", GPUs: 16, Iterations: 3, Model: pg1(), Tenant: "t1"}))
+		},
+		func() {
+			at(op, clock, 2)
+			must(t, op.Submit(Job{ID: "w2", GPUs: 16, Iterations: 3, Model: pg1(), Priority: 1}))
+		},
 		func() {
 			at(op, clock, 4)
 			must(t, op.ApplyEvent(scenario.Event{Kind: scenario.DegradeNIC, At: 6, Node: 0, Class: scenario.ClassRDMA, Factor: 0.5}))
@@ -156,21 +168,27 @@ func opScript(t *testing.T, op *Operator, clock *FakeClock, from, to int) {
 			at(op, clock, 5)
 			must(t, op.Submit(Job{ID: "w3", GPUs: 32, Iterations: 1, Model: pg1(), Priority: 3, Deadline: 900}))
 		},
-		func() { at(op, clock, 6); must(t, op.Submit(Job{ID: "w4", GPUs: 8, Iterations: 2, Model: pg1(), Tenant: "t1"})) },
+		func() {
+			at(op, clock, 6)
+			must(t, op.Submit(Job{ID: "w4", GPUs: 8, Iterations: 2, Model: pg1(), Tenant: "t1"}))
+		},
 		func() {
 			at(op, clock, 8)
 			if _, err := op.Cancel("w4"); err != nil {
 				t.Fatal(err)
 			}
 		},
-		func() { at(op, clock, 9); must(t, op.Submit(Job{ID: "w5", GPUs: 8, Iterations: 1, Model: pg1(), Weight: 2})) },
+		func() {
+			at(op, clock, 9)
+			must(t, op.Submit(Job{ID: "w5", GPUs: 8, Iterations: 1, Model: pg1(), Weight: 2}))
+		},
 	}
 	for i := from; i < to; i++ {
 		steps[i]()
 	}
 }
 
-const opScriptLen = 8
+const opScriptLen = 7
 
 func must(t *testing.T, err error) {
 	t.Helper()
@@ -193,12 +211,12 @@ func TestOperatorKillMidSoakRecovery(t *testing.T) {
 	defer ctl.Abort()
 	opScript(t, ctl, clockC, 0, opScriptLen)
 
-	// Victim run: killed after step 5, with a torn half-record as the
+	// Victim run: killed after step 4, with a torn half-record as the
 	// crash leaves it, then recovered and driven through the rest.
 	dirV := t.TempDir()
 	clockV := NewFakeClock()
 	vic := testOp(t, eng, dirV, clockV, 1000)
-	opScript(t, vic, clockV, 0, 5)
+	opScript(t, vic, clockV, 0, 4)
 	preKill := vic.Now()
 	must(t, vic.Abort())
 	jpath := filepath.Join(dirV, "fleet.journal")
@@ -214,10 +232,7 @@ func TestOperatorKillMidSoakRecovery(t *testing.T) {
 	if now := rec.Now(); now < preKill-1e-9 {
 		t.Fatalf("recovered wall clock %g went backwards past %g", now, preKill)
 	}
-	if rec.Policy() != "priority" {
-		t.Fatalf("recovered policy %q, want priority", rec.Policy())
-	}
-	opScript(t, rec, clockV2, 5, opScriptLen)
+	opScript(t, rec, clockV2, 4, opScriptLen)
 
 	// Bit-identical live schedules while the soak is still in flight.
 	schedC, err := ctl.Schedule()

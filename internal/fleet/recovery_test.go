@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"holmes/internal/engine"
-	"holmes/internal/events"
 	"holmes/internal/scenario"
 )
 
@@ -60,58 +59,8 @@ func TestPeekSpec(t *testing.T) {
 	}
 }
 
-// TestOperatorSetScenarioRecovery replays the set_scenario record kind:
-// a timeline replaced, then cleared, on a live operator is journaled,
-// and an operator killed after each and recovered from its journal
-// schedules bit-identically to one that never died.
-func TestOperatorSetScenarioRecovery(t *testing.T) {
-	eng := engine.New(engine.Config{})
-	clockC, clockV := NewFakeClock(), NewFakeClock()
-	ctl := testOp(t, eng, t.TempDir(), clockC, 1000)
-	defer ctl.Abort()
-	dirV := t.TempDir()
-	vic := testOp(t, eng, dirV, clockV, 1000)
-	step := func(now float64, f func(*Operator) error) {
-		at(ctl, clockC, now)
-		must(t, f(ctl))
-		at(vic, clockV, now)
-		must(t, f(vic))
-	}
-	crashAndCompare := func(stage string) {
-		must(t, vic.Abort())
-		clockV = NewFakeClock()
-		vic = testOp(t, eng, dirV, clockV, 1000)
-		a, err := ctl.Schedule()
-		must(t, err)
-		b, err := vic.Schedule()
-		must(t, err)
-		if sa, sb := marshalSched(t, a), marshalSched(t, b); sa != sb {
-			t.Fatalf("%s: recovered schedule diverged:\nunkilled:  %s\nrecovered: %s", stage, sa, sb)
-		}
-		if !reflect.DeepEqual(ctl.m.Scenario(), vic.m.Scenario()) {
-			t.Fatalf("%s: recovered scenario %+v, want %+v", stage, vic.m.Scenario(), ctl.m.Scenario())
-		}
-	}
-
-	step(1, func(o *Operator) error { return o.Submit(Job{ID: "s1", GPUs: 16, Iterations: 3, Model: pg1()}) })
-	step(2, func(o *Operator) error { return o.Submit(Job{ID: "s2", GPUs: 8, Iterations: 2, Model: pg1()}) })
-	step(3, func(o *Operator) error {
-		return o.SetScenario(&scenario.Scenario{Name: "storm", Events: []scenario.Event{
-			{Kind: scenario.DegradeNIC, At: 4, Node: 0, Class: scenario.ClassRDMA, Factor: 0.5},
-			{Kind: scenario.FailNode, At: 7, Node: 3},
-		}})
-	})
-	crashAndCompare("after set")
-	if vic.m.Scenario().Empty() {
-		t.Fatal("recovered operator lost the scenario")
-	}
-	step(5, func(o *Operator) error { return o.SetScenario(nil) })
-	crashAndCompare("after clear")
-	must(t, vic.Abort())
-}
-
-// TestOperatorMutationRecovery replays the apply_event, set_policy,
-// cancel and retire record kinds: each mutation is applied to an
+// TestOperatorMutationRecovery replays the apply_event, cancel and
+// retire record kinds: each mutation is applied to an
 // unkilled operator and to a victim that is killed right after it and
 // recovered from its journal, and the recovered schedule, policy,
 // timeline and retired set must DeepEqual the unkilled twin's at every
@@ -154,8 +103,6 @@ func TestOperatorMutationRecovery(t *testing.T) {
 		}},
 		{"fail_node", 3, func(o *Operator) error { return o.ApplyEvent(scenario.Event{Kind: scenario.FailNode, Node: 0}) }},
 		{"restore", 4, func(o *Operator) error { return o.ApplyEvent(scenario.Event{Kind: scenario.RestoreNode, Node: 0}) }},
-		{"set_policy priority", 5, func(o *Operator) error { return o.SetPolicy("priority") }},
-		{"set_policy edf", 6, func(o *Operator) error { return o.SetPolicy("edf") }},
 		{"cancel s2", 7, func(o *Operator) error {
 			if ok, err := o.Cancel("s2"); !ok {
 				return fmt.Errorf("cancel of live s2 refused: %v", err)
@@ -187,58 +134,6 @@ func TestOperatorMutationRecovery(t *testing.T) {
 	}
 	crashAndCompare("retire")
 	must(t, vic.Abort())
-}
-
-// TestOperatorSetScenarioEvents covers SetScenario with a hub attached:
-// a replace and a clear each publish one scenario event carrying the
-// journal sequence of the record that made it durable, and a timeline
-// the fleet refuses is neither journaled nor published.
-func TestOperatorSetScenarioEvents(t *testing.T) {
-	eng := engine.New(engine.Config{})
-	clock := NewFakeClock()
-	hub := events.NewHub()
-	op := eventOp(t, eng, t.TempDir(), clock, hub)
-	defer op.Abort()
-	sub := hub.Subscribe(64)
-	must(t, op.Submit(Job{ID: "a", Submit: 1, GPUs: 8, Iterations: 50, Model: pg1()}))
-	seq := op.j.Seq()
-
-	bad := &scenario.Scenario{Name: "bad", Events: []scenario.Event{{Kind: scenario.Partition, At: 5, Cluster: 0, Peer: 1}}}
-	if err := op.SetScenario(bad); err == nil {
-		t.Fatal("SetScenario accepted a partition the fleet cannot model")
-	}
-	if op.j.Seq() != seq || op.m.Scenario() != nil {
-		t.Fatalf("refused timeline leaked: journal seq %d (want %d), scenario %+v", op.j.Seq(), seq, op.m.Scenario())
-	}
-	at(op, clock, 2)
-	must(t, op.SetScenario(&scenario.Scenario{Name: "storm", Events: []scenario.Event{
-		{Kind: scenario.DegradeNIC, At: 4, Node: 0, Class: scenario.ClassRDMA, Factor: 0.5},
-	}}))
-	at(op, clock, 3)
-	must(t, op.SetScenario(nil))
-	hub.Close()
-
-	var got []events.Event
-	for ev := range sub.Events() {
-		if ev.Kind == events.KindScenario {
-			got = append(got, ev)
-		}
-	}
-	if len(got) != 2 {
-		t.Fatalf("published %d scenario events, want replace and clear: %+v", len(got), got)
-	}
-	want := []struct {
-		at       float64
-		state    string
-		scenario string
-		seq      uint64
-	}{{2, "replaced", "storm", seq + 1}, {3, "cleared", "", seq + 2}}
-	for i, w := range want {
-		ev := got[i]
-		if ev.At != w.at || ev.State != w.state || ev.Scenario != w.scenario || ev.JournalSeq != w.seq {
-			t.Fatalf("event %d = %+v, want at=%v state=%s scenario=%q journal_seq=%d", i, ev, w.at, w.state, w.scenario, w.seq)
-		}
-	}
 }
 
 // TestOperatorInMemory pins the journal-less operator to the Manager's

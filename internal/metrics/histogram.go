@@ -34,7 +34,6 @@ func histBound(i int) float64 {
 // number of concurrent observers. The zero value is ready to use.
 type Histogram struct {
 	counts  [histBuckets]atomic.Uint64
-	count   atomic.Uint64
 	sumNano atomic.Uint64
 	maxNano atomic.Uint64
 }
@@ -58,7 +57,6 @@ func (h *Histogram) Observe(d time.Duration) {
 		d = 0
 	}
 	h.counts[bucketFor(d)].Add(1)
-	h.count.Add(1)
 	h.sumNano.Add(uint64(d))
 	for {
 		cur := h.maxNano.Load()
@@ -67,9 +65,6 @@ func (h *Histogram) Observe(d time.Duration) {
 		}
 	}
 }
-
-// Count reports the number of samples observed so far.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
 
 // HistogramSnapshot is a point-in-time quantile summary, JSON-shaped for
 // /v1/stats and the load-generator report. Latencies are milliseconds.

@@ -106,18 +106,6 @@ func (t *Table) CSV() string {
 	return b.String()
 }
 
-// RelErr returns |got−want|/|want| (infinite for want == 0 with got != 0,
-// zero when both are zero).
-func RelErr(got, want float64) float64 {
-	if want == 0 {
-		if got == 0 {
-			return 0
-		}
-		return math.Inf(1)
-	}
-	return math.Abs(got-want) / math.Abs(want)
-}
-
 // PctString renders a relative error as a signed percentage ("-7.3%").
 func PctString(got, want float64) string {
 	if want == 0 {

@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"math"
 	"strings"
 	"testing"
 )
@@ -63,18 +62,6 @@ func TestFormatFloatRanges(t *testing.T) {
 		if got := FormatFloat(v); got != want {
 			t.Errorf("FormatFloat(%v) = %q, want %q", v, got, want)
 		}
-	}
-}
-
-func TestRelErr(t *testing.T) {
-	if RelErr(110, 100) != 0.1 {
-		t.Fatal("RelErr wrong")
-	}
-	if RelErr(0, 0) != 0 {
-		t.Fatal("0/0 should be 0")
-	}
-	if !math.IsInf(RelErr(1, 0), 1) {
-		t.Fatal("x/0 should be +Inf")
 	}
 }
 

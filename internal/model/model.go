@@ -59,11 +59,6 @@ func (s Spec) ParamsPerLayer() int64 {
 	return 12*h*h + 13*h
 }
 
-// EmbeddingParams returns the embedding-table parameters ((V+s)·h).
-func (s Spec) EmbeddingParams() int64 {
-	return int64(s.Vocab+s.SeqLen) * int64(s.Hidden)
-}
-
 // FLOPsPerIteration returns the Megatron model-FLOPs count for one full
 // training iteration (forward + backward, with activation recomputation
 // factored in the 96 constant, matching the paper's TFLOPS definition).
@@ -74,11 +69,6 @@ func (s Spec) FLOPsPerIteration() float64 {
 	h := float64(s.Hidden)
 	v := float64(s.Vocab)
 	return 96 * b * seq * l * h * h * (1 + seq/(6*h) + v/(16*l*h))
-}
-
-// FLOPsPerSample returns per-sample FLOPs (FLOPsPerIteration / B).
-func (s Spec) FLOPsPerSample() float64 {
-	return s.FLOPsPerIteration() / float64(s.GlobalBatch)
 }
 
 // FLOPsForLayers returns the FLOPs share of `layers` consecutive
@@ -131,13 +121,6 @@ func (s Spec) StageMemoryBytes(layers, d, t, inflight int, shardOptimizer bool) 
 	}
 	act := s.ActivationBytesPerLayer() * int64(layers) * int64(inflight) / int64(t)
 	return static + opt + act
-}
-
-// GradientBytes returns the fp16 gradient payload of `layers` layers for
-// one tensor-parallel shard — the message size of data-parallel gradient
-// synchronization.
-func (s Spec) GradientBytes(layers, t int) float64 {
-	return float64(s.ParamsPerLayer()*int64(layers)) * GradBytesPerParam / float64(t)
 }
 
 // ActivationMessageBytes returns the fp16 tensor exchanged between

@@ -29,28 +29,8 @@ func (f *Fabric) linkFor(nodeIdx int, class Class, inbound bool) *Link {
 	}
 }
 
-// DegradeNode scales both directions of a node's links of the given class
-// by factor (0 < factor ≤ 1; e.g. 0.5 halves the bandwidth). In-flight
-// flows adjust immediately. Returns the previous capacities so callers
-// can restore them.
-func (f *Fabric) DegradeNode(nodeIdx int, class Class, factor float64) (prevOut, prevIn float64, err error) {
-	if nodeIdx < 0 || nodeIdx >= len(f.nodeEthOut) {
-		return 0, 0, fmt.Errorf("netsim: node %d out of range", nodeIdx)
-	}
-	if factor <= 0 || factor > 1 {
-		return 0, 0, fmt.Errorf("netsim: degradation factor %v outside (0,1]", factor)
-	}
-	out := f.linkFor(nodeIdx, class, false)
-	in := f.linkFor(nodeIdx, class, true)
-	prevOut, prevIn = out.Capacity, in.Capacity
-	out.Capacity *= factor
-	in.Capacity *= factor
-	f.scheduleLinkRebalance(out, in)
-	return prevOut, prevIn, nil
-}
-
-// RestoreNode sets both directions of a node's links of the class back to
-// explicit capacities (as returned by DegradeNode).
+// RestoreNode sets both directions of a node's links of the class to
+// explicit capacities (as read by NodeCaps).
 func (f *Fabric) RestoreNode(nodeIdx int, class Class, capOut, capIn float64) error {
 	if nodeIdx < 0 || nodeIdx >= len(f.nodeEthOut) {
 		return fmt.Errorf("netsim: node %d out of range", nodeIdx)
@@ -73,11 +53,6 @@ func (f *Fabric) RestoreNode(nodeIdx int, class Class, capOut, capIn float64) er
 // which is how a flapping-but-alive link behaves. Exported so scenario
 // folding can predict a failed or flapped link's capacity exactly.
 const FailResidual = 1e-6
-
-// FailNode reduces a node's links of a class to the residual trickle.
-func (f *Fabric) FailNode(nodeIdx int, class Class) (prevOut, prevIn float64, err error) {
-	return f.DegradeNode(nodeIdx, class, FailResidual)
-}
 
 // NodeCaps reads the current capacities of a node's links of a class,
 // both directions, without changing them.

@@ -1,12 +1,33 @@
 package netsim
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"holmes/internal/sim"
 	"holmes/internal/topology"
 )
+
+// DegradeNode scales both directions of a node's links of the given class
+// by factor (0 < factor ≤ 1; e.g. 0.5 halves the bandwidth). In-flight
+// flows adjust immediately. Returns the previous capacities so callers
+// can restore them.
+func (f *Fabric) DegradeNode(nodeIdx int, class Class, factor float64) (prevOut, prevIn float64, err error) {
+	if nodeIdx < 0 || nodeIdx >= len(f.nodeEthOut) {
+		return 0, 0, fmt.Errorf("netsim: node %d out of range", nodeIdx)
+	}
+	if factor <= 0 || factor > 1 {
+		return 0, 0, fmt.Errorf("netsim: degradation factor %v outside (0,1]", factor)
+	}
+	out := f.linkFor(nodeIdx, class, false)
+	in := f.linkFor(nodeIdx, class, true)
+	prevOut, prevIn = out.Capacity, in.Capacity
+	out.Capacity *= factor
+	in.Capacity *= factor
+	f.scheduleLinkRebalance(out, in)
+	return prevOut, prevIn, nil
+}
 
 func TestDegradeSlowsInFlightFlow(t *testing.T) {
 	topo := topology.IBEnv(2)
@@ -58,7 +79,7 @@ func TestFailNodeLeavesResidualTrickle(t *testing.T) {
 	topo := topology.IBEnv(2)
 	eng := sim.NewEngine()
 	fab := New(eng, topo, DefaultParams())
-	if _, _, err := fab.FailNode(1, RDMA); err != nil {
+	if _, _, err := fab.DegradeNode(1, RDMA, FailResidual); err != nil {
 		t.Fatal(err)
 	}
 	bw := fab.PairBandwidth(0, 8, RDMA)

@@ -14,8 +14,8 @@ package netsim
 // Impairments are keyed per (node, class, direction) so a timeline can
 // target, say, only the inbound Ethernet side of one node, mirroring the
 // per-direction rules of tc/netem front ends. They are orthogonal to
-// link capacities: DegradeNode/FailNode/RestoreNode never touch them,
-// and ClearImpairments never touches capacities.
+// link capacities: RestoreNode never touches them, and SetImpairment
+// never touches capacities.
 
 import (
 	"fmt"
@@ -120,16 +120,6 @@ func (f *Fabric) SetImpairment(nodeIdx int, class Class, inbound bool, imp Impai
 // class/direction (the zero value when unimpaired).
 func (f *Fabric) ImpairmentOf(nodeIdx int, class Class, inbound bool) Impairment {
 	return f.impair[impairKey{node: nodeIdx, class: class, inbound: inbound}]
-}
-
-// ClearImpairments removes every impairment of one node, all classes and
-// directions. Link capacities are untouched.
-func (f *Fabric) ClearImpairments(nodeIdx int) {
-	for key := range f.impair {
-		if key.node == nodeIdx {
-			delete(f.impair, key)
-		}
-	}
 }
 
 // SeedJitter installs the PRNG source for jitter draws. Scenario
@@ -241,27 +231,10 @@ func (f *Fabric) TrunkBandwidth(c1, c2 int) (float64, bool) {
 	return t.Capacity, true
 }
 
-// DegradeTrunk scales the inter-cluster trunk between two clusters by
-// factor, returning the previous capacity so callers can restore it.
-// Scenario partitions cut the trunk to a residual trickle this way; a
-// fabric without trunks between the pair errors, because there is no
-// link to cut.
-func (f *Fabric) DegradeTrunk(c1, c2 int, factor float64) (prev float64, err error) {
-	if factor <= 0 || factor > 1 {
-		return 0, fmt.Errorf("netsim: trunk degradation factor %v outside (0,1]", factor)
-	}
-	t := f.trunkBetween(c1, c2)
-	if t == nil {
-		return 0, fmt.Errorf("netsim: no trunk between clusters %d and %d", c1, c2)
-	}
-	prev = t.Capacity
-	t.Capacity *= factor
-	f.scheduleLinkRebalance(t)
-	return prev, nil
-}
-
-// RestoreTrunk sets the trunk back to an explicit capacity (as returned
-// by DegradeTrunk).
+// RestoreTrunk sets the trunk to an explicit capacity (as read by
+// TrunkBandwidth). Scenario partitions cut the trunk to a residual
+// trickle this way; a fabric without trunks between the pair errors,
+// because there is no link to cut.
 func (f *Fabric) RestoreTrunk(c1, c2 int, capacity float64) error {
 	if capacity < 0 {
 		return fmt.Errorf("netsim: negative trunk capacity")

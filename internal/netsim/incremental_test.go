@@ -9,6 +9,9 @@ import (
 	"holmes/internal/topology"
 )
 
+// ActiveFlows reports how many flows currently traverse the link.
+func (l *Link) ActiveFlows() int { return len(l.flows) }
+
 // The incremental rebalancer must be observationally equivalent to the
 // retained full-recompute oracle (Params.FullRecompute): every flow of an
 // arbitrary arrival/departure schedule completes at the same virtual time

@@ -133,9 +133,6 @@ type Link struct {
 	dirty     bool // queued as a seed for the pending rebalance
 }
 
-// ActiveFlows reports how many flows currently traverse the link.
-func (l *Link) ActiveFlows() int { return len(l.flows) }
-
 // Flow is one in-flight transfer.
 type Flow struct {
 	Src, Dst int // global ranks
@@ -162,9 +159,6 @@ type Flow struct {
 	prevRate float64
 	aborted  bool
 }
-
-// Rate returns the flow's current fair-share rate in bytes/s.
-func (f *Flow) Rate() float64 { return f.rate }
 
 // Fabric binds a topology to link state and an event engine.
 type Fabric struct {
@@ -671,8 +665,9 @@ func (f *Fabric) InFlight() int { return f.inFlight }
 
 // TransferTime returns the contention-free α–β estimate for moving the
 // given bytes between two ranks on a class: latency + bytes/bottleneck.
-// It is the analytic counterpart of StartFlow, used by the collective cost
-// models; it never mutates fabric state.
+// It is the analytic counterpart of StartFlow, the reference the netsim
+// and scenario tests check lone flows against; it never mutates fabric
+// state.
 func (f *Fabric) TransferTime(src, dst int, bytes float64, class Class) float64 {
 	t := f.Latency(src, dst, class)
 	if bytes <= 0 {

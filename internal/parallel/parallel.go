@@ -68,8 +68,6 @@ type Assignment struct {
 
 	stageOf []int // rank -> pipeline stage
 	dpRowOf []int // rank -> DP row index
-	ppRowOf []int // rank -> PP row index
-	tpRowOf []int // rank -> TP row index
 }
 
 // New builds the assignment for n devices. gpusPerNode guards the tensor
@@ -83,16 +81,12 @@ func New(n, gpusPerNode int, deg Degrees) (*Assignment, error) {
 		Degrees: deg, N: n,
 		stageOf: make([]int, n),
 		dpRowOf: make([]int, n),
-		ppRowOf: make([]int, n),
-		tpRowOf: make([]int, n),
 	}
 	// Eq. 1: tensor groups are consecutive rank runs of length t.
 	for i := 0; i < p*d; i++ {
 		row := make([]int, t)
 		for j := 0; j < t; j++ {
-			r := i*t + j
-			row[j] = r
-			a.tpRowOf[r] = i
+			row[j] = i*t + j
 		}
 		a.TP = append(a.TP, row)
 	}
@@ -103,7 +97,6 @@ func New(n, gpusPerNode int, deg Degrees) (*Assignment, error) {
 			r := i + j*t*d
 			row[j] = r
 			a.stageOf[r] = j
-			a.ppRowOf[r] = i
 		}
 		a.PP = append(a.PP, row)
 	}
@@ -122,15 +115,6 @@ func New(n, gpusPerNode int, deg Degrees) (*Assignment, error) {
 
 // StageOf returns the pipeline stage (0-based) a rank computes.
 func (a *Assignment) StageOf(rank int) int { return a.stageOf[a.check(rank)] }
-
-// TPGroup returns the tensor-parallel group containing rank.
-func (a *Assignment) TPGroup(rank int) []int { return a.TP[a.tpRowOf[a.check(rank)]] }
-
-// PPGroup returns the pipeline-parallel group containing rank.
-func (a *Assignment) PPGroup(rank int) []int { return a.PP[a.ppRowOf[a.check(rank)]] }
-
-// DPGroup returns the data-parallel group containing rank.
-func (a *Assignment) DPGroup(rank int) []int { return a.DP[a.dpRowOf[a.check(rank)]] }
 
 // DPRow returns the index of the data-parallel group containing rank.
 func (a *Assignment) DPRow(rank int) int { return a.dpRowOf[a.check(rank)] }
@@ -182,69 +166,4 @@ func GroupNIC(topo *topology.Topology, group []int) (nic topology.NICType, cross
 		}
 	}
 	return nic, true
-}
-
-// Analysis summarizes how an assignment lands on a topology.
-type Analysis struct {
-	// DPHomogeneous reports whether every data-parallel group is
-	// NIC-homogeneous (can use RDMA end-to-end).
-	DPHomogeneous bool
-	// DPGroupNICs holds the NIC selected for each DP row.
-	DPGroupNICs []topology.NICType
-	// PPCrossCluster counts pipeline edges that cross cluster boundaries.
-	PPCrossCluster int
-	// TPWithinNode reports whether every tensor group stays on one node.
-	TPWithinNode bool
-	// StageCluster maps each stage to its cluster, or -1 if a stage spans
-	// clusters.
-	StageCluster []int
-}
-
-// Analyze computes placement properties of the assignment on topo.
-func Analyze(topo *topology.Topology, a *Assignment) Analysis {
-	if topo.NumDevices() != a.N {
-		panic(fmt.Sprintf("parallel: topology has %d devices, assignment %d", topo.NumDevices(), a.N))
-	}
-	res := Analysis{DPHomogeneous: true, TPWithinNode: true}
-	for _, g := range a.DP {
-		nic, _ := GroupNIC(topo, g)
-		res.DPGroupNICs = append(res.DPGroupNICs, nic)
-		if !nic.IsRDMA() && topo.NodeOf(g[0]).RDMAType().IsRDMA() && len(g) > 1 {
-			// The group could have had RDMA but spans incompatible fabrics.
-			if _, cross := GroupNIC(topo, g); cross {
-				res.DPHomogeneous = false
-			}
-		}
-	}
-	for _, g := range a.PP {
-		for j := 0; j+1 < len(g); j++ {
-			if !topo.SameCluster(g[j], g[j+1]) {
-				res.PPCrossCluster++
-			}
-		}
-	}
-	for _, g := range a.TP {
-		for _, r := range g[1:] {
-			if !topo.SameNode(g[0], r) {
-				res.TPWithinNode = false
-			}
-		}
-	}
-	for s := 0; s < a.P; s++ {
-		ranks := a.StageRanks(s)
-		c := topo.Device(ranks[0]).Cluster
-		same := true
-		for _, r := range ranks[1:] {
-			if topo.Device(r).Cluster != c {
-				same = false
-				break
-			}
-		}
-		if same {
-			res.StageCluster = append(res.StageCluster, c)
-		} else {
-			res.StageCluster = append(res.StageCluster, -1)
-		}
-	}
-	return res
 }

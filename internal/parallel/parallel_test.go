@@ -63,26 +63,18 @@ func TestFigure3Configuration(t *testing.T) {
 			{NIC: topology.RoCE, Nodes: 2},
 		},
 	})
-	an := Analyze(topo, a)
-	// Stages 0–1 land in cluster 0 (IB), stages 2–3 in cluster 1 (RoCE).
-	wantClusters := []int{0, 0, 1, 1}
-	for s, want := range wantClusters {
-		if an.StageCluster[s] != want {
-			t.Fatalf("stage %d cluster = %d, want %d", s, an.StageCluster[s], want)
+	// Stages 0–1 land in cluster 0 (IB), stages 2–3 in cluster 1 (RoCE),
+	// so pipeline groups cross the cluster boundary.
+	for s, want := range []int{0, 0, 1, 1} {
+		for _, r := range a.StageRanks(s) {
+			if c := topo.Device(r).Cluster; c != want {
+				t.Fatalf("stage %d rank %d in cluster %d, want %d", s, r, c, want)
+			}
 		}
 	}
-	if !an.DPHomogeneous {
-		t.Fatal("cross-cluster pipeline parallelism must keep DP groups NIC-homogeneous")
-	}
-	if !an.TPWithinNode {
-		t.Fatal("tensor groups must stay within nodes")
-	}
-	if an.PPCrossCluster == 0 {
-		t.Fatal("pipeline groups must cross the cluster boundary")
-	}
 	// Each DP group must be entirely IB or entirely RoCE.
-	for i, nic := range an.DPGroupNICs {
-		if !nic.IsRDMA() {
+	for i, g := range a.DP {
+		if nic, _ := GroupNIC(topo, g); !nic.IsRDMA() {
 			t.Fatalf("DP group %d got NIC %v, want RDMA", i, nic)
 		}
 	}
@@ -143,13 +135,16 @@ func TestGroupPartitionProperty(t *testing.T) {
 		}
 		// Membership lookups agree with matrices.
 		for r := 0; r < n; r++ {
-			if !containsInt(a.TPGroup(r), r) || !containsInt(a.PPGroup(r), r) || !containsInt(a.DPGroup(r), r) {
+			if !containsInt(a.DP[a.DPRow(r)], r) {
 				return false
 			}
-			// Stage of rank equals its index in its PP group.
-			pp := a.PPGroup(r)
-			if pp[a.StageOf(r)] != r {
-				return false
+		}
+		// Stage of rank equals its index in its PP group.
+		for _, pp := range a.PP {
+			for s, r := range pp {
+				if a.StageOf(r) != s {
+					return false
+				}
 			}
 		}
 		// Stage blocks are contiguous.
@@ -206,12 +201,8 @@ func TestNaiveAssignmentSplitsDPGroups(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	an := Analyze(topo, a)
-	if an.DPHomogeneous {
-		t.Fatal("p=1 on hybrid topology must break DP homogeneity")
-	}
-	if an.DPGroupNICs[0] != topology.Ethernet {
-		t.Fatalf("heterogeneous DP group NIC = %v, want Ethernet", an.DPGroupNICs[0])
+	if nic, _ := GroupNIC(topo, a.DP[0]); nic != topology.Ethernet {
+		t.Fatalf("heterogeneous DP group NIC = %v, want Ethernet", nic)
 	}
 }
 

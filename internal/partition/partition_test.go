@@ -232,9 +232,6 @@ func TestSelfAdaptingAlwaysValidProperty(t *testing.T) {
 
 func TestResultAccessors(t *testing.T) {
 	r := Result{Layers: []int{3, 4}, Strategy: "uniform"}
-	if r.Stages() != 2 || r.Total() != 7 {
-		t.Fatalf("accessors wrong: %d %d", r.Stages(), r.Total())
-	}
 	if r.String() != "uniform[3 4]" {
 		t.Fatalf("String = %q", r.String())
 	}

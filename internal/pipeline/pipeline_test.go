@@ -93,16 +93,6 @@ func TestValidateCatchesDuplicatesAndGaps(t *testing.T) {
 	}
 }
 
-func TestBubbleFraction(t *testing.T) {
-	if got := BubbleFraction(4, 12); math.Abs(got-3.0/15.0) > 1e-12 {
-		t.Fatalf("BubbleFraction(4,12) = %v", got)
-	}
-	if got := BubbleFraction(1, 8); got != 0 {
-		t.Fatalf("single stage bubble = %v, want 0", got)
-	}
-}
-
-// Property: 1F1B schedules validate and drain for arbitrary shapes.
 func TestOneFOneBValidProperty(t *testing.T) {
 	f := func(pRaw, mRaw uint8) bool {
 		p := int(pRaw%8) + 1

@@ -40,9 +40,8 @@ type StreamCtl interface {
 // and pushes it here, so a backend never needs to track compounding:
 // SetNodeFactor(0.5) means "half the bind-time capacity", full stop.
 //
-// The default implementation drives the in-process netsim.Fabric; the
-// HTTP backend forwards the same calls as JSON to an external
-// netsim-in-a-box-style impairment server for tc/netem validation runs.
+// FabricBackend, the one implementation, drives the in-process
+// netsim.Fabric.
 type Backend interface {
 	// Topo is the topology the scenario validates against.
 	Topo() *topology.Topology
@@ -58,8 +57,6 @@ type Backend interface {
 	// ApplyImpairment installs the absolute impairment of one node's
 	// class/direction; the zero value clears it.
 	ApplyImpairment(node int, class netsim.Class, inbound bool, imp netsim.Impairment) error
-	// ClearImpairments drops every impairment of one node.
-	ClearImpairments(node int) error
 	// SeedJitter installs the scenario-owned PRNG seed for jitter draws.
 	SeedJitter(seed int64)
 	// Stream runs one background_traffic event from its At instant.
@@ -147,12 +144,6 @@ func (b *FabricBackend) CheckTrunk(c1, c2 int) error {
 // ApplyImpairment implements Backend.
 func (b *FabricBackend) ApplyImpairment(node int, class netsim.Class, inbound bool, imp netsim.Impairment) error {
 	return b.fab.SetImpairment(node, class, inbound, imp)
-}
-
-// ClearImpairments implements Backend.
-func (b *FabricBackend) ClearImpairments(node int) error {
-	b.fab.ClearImpairments(node)
-	return nil
 }
 
 // SeedJitter implements Backend.

@@ -74,18 +74,6 @@ func (ns NodeState) Factor(class netsim.Class) float64 {
 	}
 }
 
-// Eff returns the folded goodput efficiency of one link class.
-func (ns NodeState) Eff(class netsim.Class) float64 {
-	switch class {
-	case netsim.RDMA:
-		return ns.RDMAEff
-	case netsim.Ether:
-		return ns.EthEff
-	default:
-		return ns.IntraEff
-	}
-}
-
 func (ns *NodeState) mulFactor(class netsim.Class, f float64) {
 	switch class {
 	case netsim.RDMA:

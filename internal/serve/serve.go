@@ -105,23 +105,8 @@ func New(cfg Config) *Pool {
 	return p
 }
 
-// FromEngine wraps one prebuilt engine (nil = the shared default) as a
-// single-shard pool with default admission limits — the compatibility
-// path for api.NewServer.
-func FromEngine(eng *engine.Engine) *Pool {
-	if eng == nil {
-		eng = engine.Default()
-	}
-	p := New(Config{Shards: 1})
-	p.shards[0] = eng
-	return p
-}
-
 // Shards reports the shard count.
 func (p *Pool) Shards() int { return len(p.shards) }
-
-// Shard returns shard i (observability and tests).
-func (p *Pool) Shard(i int) *engine.Engine { return p.shards[i] }
 
 // ShardIndex hashes a routing key (normally a topology fingerprint) to a
 // shard index with FNV-1a. The mapping is stable across processes, so a

@@ -15,6 +15,9 @@ import (
 	"holmes/internal/topology"
 )
 
+// Shard returns shard i.
+func (p *Pool) Shard(i int) *engine.Engine { return p.shards[i] }
+
 func TestShardRoutingStable(t *testing.T) {
 	p := New(Config{Shards: 4})
 	q := New(Config{Shards: 4})
@@ -73,17 +76,6 @@ func TestPoolShardIsolation(t *testing.T) {
 	agg := p.CacheStats()
 	if agg.Size != 1 || agg.Misses != 1 {
 		t.Fatalf("aggregate cache stats: %+v", agg)
-	}
-}
-
-func TestFromEngineWrapsSharedEngine(t *testing.T) {
-	eng := engine.New(engine.Config{Concurrency: 2})
-	p := FromEngine(eng)
-	if p.Shards() != 1 || p.Shard(0) != eng {
-		t.Fatal("FromEngine must expose the given engine as the only shard")
-	}
-	if FromEngine(nil).Shard(0) != engine.Default() {
-		t.Fatal("FromEngine(nil) must wrap the default engine")
 	}
 }
 

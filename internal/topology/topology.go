@@ -144,15 +144,6 @@ type Cluster struct {
 	Nodes []*Node
 }
 
-// NumDevices returns the number of GPUs in the cluster.
-func (c *Cluster) NumDevices() int {
-	n := 0
-	for _, nd := range c.Nodes {
-		n += len(nd.Devices)
-	}
-	return n
-}
-
 // Topology is the complete hardware landscape of a training job.
 type Topology struct {
 	Clusters []*Cluster
@@ -175,9 +166,6 @@ func (t *Topology) NumDevices() int { return len(t.devices) }
 // Nodes returns all nodes in global order.
 func (t *Topology) Nodes() []*Node { return t.nodes }
 
-// Devices returns all devices in global rank order.
-func (t *Topology) Devices() []*Device { return t.devices }
-
 // Device returns the device with the given global rank.
 func (t *Topology) Device(rank int) *Device {
 	if rank < 0 || rank >= len(t.devices) {
@@ -194,11 +182,6 @@ func (t *Topology) Node(idx int) *Node {
 	return t.nodes[idx]
 }
 
-// ClusterOf returns the cluster containing the given global rank.
-func (t *Topology) ClusterOf(rank int) *Cluster {
-	return t.Clusters[t.Device(rank).Cluster]
-}
-
 // NodeOf returns the node containing the given global rank.
 func (t *Topology) NodeOf(rank int) *Node {
 	return t.nodes[t.Device(rank).Node]
@@ -213,16 +196,6 @@ func (t *Topology) SameNode(a, b int) bool {
 // SameCluster reports whether two ranks live in one cluster (RDMA domain).
 func (t *Topology) SameCluster(a, b int) bool {
 	return t.Device(a).Cluster == t.Device(b).Cluster
-}
-
-// Rank implements the paper's global numbering: the j-th device (0-based)
-// of the k-th node (0-based) of the i-th cluster (0-based).
-func (t *Topology) Rank(cluster, node, device int) int {
-	base := 0
-	for i := 0; i < cluster; i++ {
-		base += len(t.Clusters[i].Nodes)
-	}
-	return t.GPUsPerNode*(base+node) + device
 }
 
 // BestCommonNIC returns the fastest NIC technology usable between two

@@ -5,6 +5,19 @@ import (
 	"testing/quick"
 )
 
+// Devices returns all devices in global rank order.
+func (t *Topology) Devices() []*Device { return t.devices }
+
+// Rank implements the paper's global numbering: the j-th device (0-based)
+// of the k-th node (0-based) of the i-th cluster (0-based).
+func (t *Topology) Rank(cluster, node, device int) int {
+	base := 0
+	for i := 0; i < cluster; i++ {
+		base += len(t.Clusters[i].Nodes)
+	}
+	return t.GPUsPerNode*(base+node) + device
+}
+
 func TestNICTypeProperties(t *testing.T) {
 	if !InfiniBand.IsRDMA() || !RoCE.IsRDMA() {
 		t.Fatal("IB/RoCE must be RDMA")
